@@ -18,11 +18,15 @@
 //     (point, trial) coordinates. Completion order affects nothing; no
 //     locks are involved; the race detector sees only disjoint writes.
 //
-// Golden-trace recording stays on the dispatching goroutine — the golden
-// pipeline advances point to point and cannot be shared — while trials fan
-// out behind it. A sync.Pool of clones (reset from the master via
+// Golden-run recording stays on the dispatching goroutine — the golden
+// simulators only move forward and cannot be shared — while trials fan out
+// behind it. The µarch engine records each point's continuation; the VM
+// engine extends one campaign-wide trace that a point's trials read as a
+// window. A sync.Pool of clones (reset from the master via
 // Pipeline.ResetFrom / Memory.CopyFrom) recycles the per-trial fork
-// allocations that otherwise dominate the campaign's profile.
+// allocations that otherwise dominate the campaign's profile. The serial
+// engine runs every trial inline through the same submit path, so its
+// telemetry (worker-busy time) matches the parallel engine's.
 package inject
 
 import (

@@ -1,6 +1,7 @@
 package inject
 
 import (
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -114,4 +115,97 @@ func TestParallelCampaignPoolAccounting(t *testing.T) {
 		t.Errorf("queue_depth observations = %d, want %d",
 			reg.Hist("campaign_uarch_queue_depth").Count(), trials)
 	}
+}
+
+// The serial VM engine runs each trial inline through the same engine as
+// the parallel one, so its worker-busy timer covers every trial too.
+func TestSerialVMCampaignWorkerBusy(t *testing.T) {
+	reg := obs.NewRegistry()
+	cfg := smallVM(workload.Gzip, false)
+	cfg.Obs = reg
+	r, err := RunVM(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy := reg.Timer("campaign_vm_worker_busy")
+	if got := busy.Count(); got != int64(len(r.Trials)) {
+		t.Errorf("worker_busy count = %d, want %d", got, len(r.Trials))
+	}
+	if busy.Total() <= 0 {
+		t.Error("worker_busy recorded no time on the serial engine")
+	}
+}
+
+// A shard's result spans the whole plan, other shards' slots zero-valued;
+// its telemetry must count only the slots it owns, so the trial and
+// outcome counters summed over shards equal the plan and the merged
+// result's outcome histogram.
+func TestShardedCampaignCountersSumToPlan(t *testing.T) {
+	outcomes := func(reg *obs.Registry, prefix string) map[string]int64 {
+		got := map[string]int64{}
+		for _, m := range reg.Snapshot().Metrics {
+			if strings.HasPrefix(m.Name, prefix+"_outcome_") {
+				got[m.Name] = int64(m.Value)
+			}
+		}
+		return got
+	}
+	dirs := func() []string {
+		return []string{filepath.Join(t.TempDir(), "s0"), filepath.Join(t.TempDir(), "s1")}
+	}
+
+	t.Run("vm", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		ds := dirs()
+		for i, d := range ds {
+			cfg := resumeVM(workload.Gzip)
+			cfg.ResumeFrom, cfg.ShardIndex, cfg.ShardCount = d, i, 2
+			cfg.Obs = reg
+			if _, err := RunVM(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		merged, err := MergeVM(resumeVM(workload.Gzip), ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := reg.Counter("campaign_vm_trials_total").Value(), int64(resumeVM(workload.Gzip).Trials); got != want {
+			t.Errorf("trials_total over shards = %d, want the plan's %d", got, want)
+		}
+		want := map[string]int64{}
+		for _, tr := range merged.Trials {
+			want["campaign_vm_outcome_"+metricName(tr.CategoryAt(merged.Config.Window).String())+"_total"]++
+		}
+		if got := outcomes(reg, "campaign_vm"); !reflect.DeepEqual(got, want) {
+			t.Errorf("outcome counters over shards = %v, want merged histogram %v", got, want)
+		}
+	})
+
+	t.Run("uarch", func(t *testing.T) {
+		reg := obs.NewRegistry()
+		ds := dirs()
+		for i, d := range ds {
+			cfg := resumeUArch(workload.Gzip)
+			cfg.ResumeFrom, cfg.ShardIndex, cfg.ShardCount = d, i, 2
+			cfg.Obs = reg
+			if _, err := RunUArch(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		merged, err := MergeUArch(resumeUArch(workload.Gzip), ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := resumeUArch(workload.Gzip)
+		if got, want := reg.Counter("campaign_uarch_trials_total").Value(), int64(plan.Points*plan.TrialsPerPoint); got != want {
+			t.Errorf("trials_total over shards = %d, want the plan's %d", got, want)
+		}
+		want := map[string]int64{}
+		for _, tr := range merged.Trials {
+			want["campaign_uarch_outcome_"+metricName(tr.CategoryAt(merged.Config.WindowCycles, DetectorPerfect).String())+"_total"]++
+		}
+		if got := outcomes(reg, "campaign_uarch"); !reflect.DeepEqual(got, want) {
+			t.Errorf("outcome counters over shards = %v, want merged histogram %v", got, want)
+		}
+	})
 }

@@ -126,6 +126,12 @@ func validateSharding(resumeFrom string, shardIndex, shardCount int) error {
 	return nil
 }
 
+// ownsSlot reports whether shard index of count runs plan slot slot; a
+// count of 0 or 1 is unsharded.
+func ownsSlot(slot, index, count int) bool {
+	return count <= 1 || slot%count == index
+}
+
 // openJournals tracks every live campaignJournal so an emergency shutdown —
 // a process forced to exit while campaigns are still draining — can flush
 // the records of already-completed trials without waiting for the drain.

@@ -29,6 +29,8 @@ func metricName(category string) string {
 }
 
 // recordCampaignCommon emits the telemetry both campaign types share.
+// trials counts this run's owned slots only: a shard's result spans the
+// whole plan, with other shards' slots left zero-valued.
 func recordCampaignCommon(sink obs.Sink, prefix string, trials int, truncated bool, elapsed time.Duration) {
 	sink.Counter(prefix + "_trials_total").Add(int64(trials))
 	if truncated {
@@ -45,11 +47,15 @@ func recordVMTelemetry(sink obs.Sink, r *VMResult, truncated bool, elapsed time.
 		return
 	}
 	const prefix = "campaign_vm"
-	recordCampaignCommon(sink, prefix, len(r.Trials), truncated, elapsed)
-	for _, t := range r.Trials {
-		cat := t.CategoryAt(r.Config.Window).String()
-		sink.Counter(prefix + "_outcome_" + metricName(cat) + "_total").Inc()
+	owned := 0
+	for slot, t := range r.Trials {
+		if ownsSlot(slot, r.Config.ShardIndex, r.Config.ShardCount) {
+			owned++
+			cat := t.CategoryAt(r.Config.Window).String()
+			sink.Counter(prefix + "_outcome_" + metricName(cat) + "_total").Inc()
+		}
 	}
+	recordCampaignCommon(sink, prefix, owned, truncated, elapsed)
 }
 
 // recordUArchTelemetry accounts one finished (possibly truncated)
@@ -61,10 +67,14 @@ func recordUArchTelemetry(sink obs.Sink, r *UArchResult, truncated bool, elapsed
 		return
 	}
 	const prefix = "campaign_uarch"
-	recordCampaignCommon(sink, prefix, len(r.Trials), truncated, elapsed)
 	sink.Counter(prefix + "_points_total").Add(int64(len(r.Trials) / max(1, r.Config.TrialsPerPoint)))
-	for _, t := range r.Trials {
-		cat := t.CategoryAt(r.Config.WindowCycles, DetectorPerfect).String()
-		sink.Counter(prefix + "_outcome_" + metricName(cat) + "_total").Inc()
+	owned := 0
+	for slot, t := range r.Trials {
+		if ownsSlot(slot, r.Config.ShardIndex, r.Config.ShardCount) {
+			owned++
+			cat := t.CategoryAt(r.Config.WindowCycles, DetectorPerfect).String()
+			sink.Counter(prefix + "_outcome_" + metricName(cat) + "_total").Inc()
+		}
 	}
+	recordCampaignCommon(sink, prefix, owned, truncated, elapsed)
 }

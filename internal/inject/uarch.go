@@ -348,9 +348,7 @@ func RunUArch(cfg UArchConfig) (*UArchResult, error) {
 			done[slot] = true
 		}
 	}
-	owns := func(slot int) bool {
-		return cfg.ShardCount <= 1 || slot%cfg.ShardCount == cfg.ShardIndex
-	}
+	owns := func(slot int) bool { return ownsSlot(slot, cfg.ShardIndex, cfg.ShardCount) }
 	// pointLoaded reports whether EVERY slot of a point was recovered from
 	// the journal — only then is golden recording skippable (see journal.go
 	// on why ownership alone is not enough: truncation detection must stay

@@ -197,13 +197,18 @@ func (r *VMResult) Distribution(latency uint64) map[string]float64 {
 	return VMDistribution(r.Trials, latency).Fraction
 }
 
-// RunVM executes the campaign. The golden execution advances through the
-// program once; at each injection point the post-injection continuation is
-// simulated once to record a golden event trace, then each trial replays
-// the continuation with one result bit flipped, comparing event-by-event —
-// serially, or fanned out across cfg.Workers goroutines with bit-identical
-// results (every bit pick is pre-drawn on the dispatching goroutine and
-// every trial fills a pre-assigned result slot).
+// RunVM executes the campaign. Two golden simulators walk the program once
+// each. The trailing simulator stops at every injection point, executes the
+// injection instruction and hands each trial its post-injection state —
+// rewound in place serially, forked per trial when cfg.Workers fans trials
+// out. The lead simulator runs ahead on its own copy of memory and records
+// the golden run into one campaign-wide trace (see vmGoldenTrace), so each
+// point's observation window is a slice of that trace rather than a
+// re-simulation. Each trial replays the continuation with one result bit
+// flipped and compares it against its window instruction by instruction.
+// Results are bit-identical for every worker count: every bit pick is
+// pre-drawn on the dispatching goroutine and every trial fills a
+// pre-assigned result slot.
 //
 // If the golden program halts before an injection point or inside a golden
 // observation window (a short workload at small Scale), the remaining
@@ -224,6 +229,11 @@ func RunVM(cfg VMConfig) (*VMResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return runVM(cfg, prog)
+}
+
+// runVM runs the campaign of a defaulted, validated cfg over prog.
+func runVM(cfg VMConfig, prog *workload.Program) (*VMResult, error) {
 	m, err := prog.NewMemory()
 	if err != nil {
 		return nil, err
@@ -232,7 +242,7 @@ func RunVM(cfg VMConfig) (*VMResult, error) {
 	sim := arch.New(m, prog.Entry)
 	var dcache *isa.DecodeCache
 	if !cfg.NoDecodeCache {
-		// Decode the code image once; the golden simulator and every
+		// Decode the code image once; the golden simulators and every
 		// per-trial fork share the cache read-only.
 		dcache = isa.NewDecodeCache(prog.CodeBase, prog.Code)
 	}
@@ -316,22 +326,20 @@ func RunVM(cfg VMConfig) (*VMResult, error) {
 			doneSlots[slot] = true
 		}
 	}
-	owns := func(slot int) bool {
-		return cfg.ShardCount <= 1 || slot%cfg.ShardCount == cfg.ShardIndex
-	}
+	owns := func(slot int) bool { return ownsSlot(slot, cfg.ShardIndex, cfg.ShardCount) }
 	totalTrials := 0
 	for slot := 0; slot < cfg.Trials; slot++ {
 		if owns(slot) {
 			totalTrials++
 		}
 	}
-	// Workers hold references into the golden slice while the dispatcher
-	// records the next point's, so the parallel engine allocates a fresh
-	// slice per point; the serial engine reuses one, as it always has.
-	var golden []arch.Event
-	if !parallel {
-		golden = make([]arch.Event, 0, cfg.Window)
-	}
+	// The lead simulator records the golden run from the warm-up boundary
+	// onward on its own copy of memory; workers keep reading windows of the
+	// trace while the dispatcher extends it, hence shared under parallel.
+	lead := arch.New(m.Clone(), prog.Entry)
+	lead.DCache = dcache
+	lead.Restore(sim.Snapshot())
+	golden := newVMGoldenTrace(lead, cfg.Window, parallel)
 	// memPool recycles per-trial memory images for the parallel engine; the
 	// counters (nil without a sink) expose its recycling rate.
 	var memPool sync.Pool
@@ -346,7 +354,7 @@ func RunVM(cfg VMConfig) (*VMResult, error) {
 			stopped = true
 			break
 		}
-		// Advance the golden simulator to the injection point.
+		// Advance the trailing simulator to the injection point.
 		for sim.InstRet < point && !sim.Stopped() {
 			sim.Step()
 		}
@@ -390,8 +398,8 @@ func RunVM(cfg VMConfig) (*VMResult, error) {
 		// no golden window and no trials. Executing the injection
 		// instruction above already left memory, simulator and write
 		// journal exactly where the full path's final rewind leaves them.
-		// Ownership alone is NOT enough to skip: recording the window is
-		// what detects workload truncation, and that detection must stay
+		// Ownership alone is NOT enough to skip: taking the window is what
+		// detects workload truncation, and that detection must stay
 		// identical across shards (see journal.go).
 		pointDone := true
 		for t := 0; t < n; t++ {
@@ -410,61 +418,48 @@ func RunVM(cfg VMConfig) (*VMResult, error) {
 			continue
 		}
 
-		// Record the golden continuation once.
-		preRegs := sim.Snapshot()
-		preMark := m.Snapshot()
-		if parallel {
-			golden = make([]arch.Event, 0, cfg.Window)
-		} else {
-			golden = golden[:0]
+		// The golden continuation: the window of the campaign trace that
+		// starts right after the injection instruction.
+		window, goldenEnd, err := golden.window(sim.InstRet)
+		if err != nil {
+			eng.wait()
+			jr.finish(cfg.Obs, "campaign_vm")
+			return nil, err
 		}
-		for i := uint64(0); i < cfg.Window; i++ {
-			ev := sim.Step()
-			if ev.Exception != arch.ExcNone {
-				eng.wait()
-				jr.finish(cfg.Obs, "campaign_vm")
-				return nil, fmt.Errorf("inject: golden exception at %#x", ev.PC)
-			}
-			if ev.Halted {
-				truncated = true
-				break
-			}
-			golden = append(golden, ev)
-		}
-		if truncated {
+		if window == nil {
 			break // window incomplete: truncate at this point
 		}
-		goldenEnd := sim.Snapshot()
 
-		if parallel {
-			// Rewind the master once, then fork an independent memory
-			// image and simulator per trial; the dispatcher clones (the
-			// pool resets a retired image via Memory.CopyFrom) while
-			// workers run behind it.
-			m.RestoreTo(preMark)
-			sim.Restore(preRegs)
-			goldenTrace := golden
-			for t := 0; t < n; t++ {
-				slot := filled + t
-				if !owns(slot) {
-					continue // another shard's slot
-				}
-				if doneSlots[slot] {
-					eng.done(cfg.Progress, totalTrials)
-					continue // recovered from the journal
-				}
-				if interrupted(cfg.Interrupt) {
-					stopped = true
-					break
-				}
-				bit := bits[slot]
-				if prfProtected {
-					trials[slot] = protectedVMTrial(injEv.PC, bit)
-					jr.record(slot, &trials[slot])
-					eng.done(cfg.Progress, totalTrials)
-					continue
-				}
-				var fm *mem.Memory
+		preRegs := sim.Snapshot()
+		preMark := m.Snapshot()
+		injDest, injPC := injEv.Dest, injEv.PC
+		for t := 0; t < n; t++ {
+			slot := filled + t
+			if !owns(slot) {
+				continue // another shard's slot
+			}
+			if doneSlots[slot] {
+				eng.done(cfg.Progress, totalTrials)
+				continue // recovered from the journal
+			}
+			if interrupted(cfg.Interrupt) {
+				stopped = true
+				break
+			}
+			bit := bits[slot]
+			if prfProtected {
+				trials[slot] = protectedVMTrial(injPC, bit)
+				jr.record(slot, &trials[slot])
+				eng.done(cfg.Progress, totalTrials)
+				continue
+			}
+			// The serial engine rewinds the trailing simulator in place;
+			// the parallel engine forks an independent memory image and
+			// simulator per trial on the dispatcher (the pool resets a
+			// retired image via Memory.CopyFrom) while workers run behind.
+			tsim := sim
+			var fm *mem.Memory
+			if parallel {
 				if v := memPool.Get(); v != nil {
 					poolHits.Inc()
 					fm = v.(*mem.Memory)
@@ -473,62 +468,31 @@ func RunVM(cfg VMConfig) (*VMResult, error) {
 					poolMisses.Inc()
 					fm = m.Clone()
 				}
-				fsim := arch.New(fm, prog.Entry)
-				fsim.DCache = dcache
-				fsim.Restore(preRegs)
-				fsim.SetReg(injEv.Dest, fsim.Reg(injEv.Dest)^(1<<bit))
-				injDest, injPC := injEv.Dest, injEv.PC
-				eng.submit(func() {
-					trial := runVMTrial(fsim, injDest, goldenTrace, goldenEnd, cfg.NoEarlyExit)
-					trial.Point = injPC
-					trial.Bit = bit
-					trials[slot] = trial
-					jr.record(slot, &trials[slot])
-					memPool.Put(fm)
-					eng.done(cfg.Progress, totalTrials)
-				})
-			}
-		} else {
-			for t := 0; t < n; t++ {
-				slot := filled + t
-				if !owns(slot) {
-					continue // another shard's slot
-				}
-				if doneSlots[slot] {
-					eng.done(cfg.Progress, totalTrials)
-					continue // recovered from the journal
-				}
-				if interrupted(cfg.Interrupt) {
-					stopped = true
-					break
-				}
-				bit := bits[slot]
-				if prfProtected {
-					trials[slot] = protectedVMTrial(injEv.PC, bit)
-					jr.record(slot, &trials[slot])
-					eng.done(cfg.Progress, totalTrials)
-					continue
-				}
-
-				// Rewind to the injection point and corrupt the result.
+				tsim = arch.New(fm, prog.Entry)
+				tsim.DCache = dcache
+			} else {
 				m.RestoreTo(preMark)
-				sim.Restore(preRegs)
-				sim.SetReg(injEv.Dest, sim.Reg(injEv.Dest)^(1<<bit))
-
-				trial := runVMTrial(sim, injEv.Dest, golden, goldenEnd, cfg.NoEarlyExit)
-				trial.Point = injEv.PC
+			}
+			tsim.Restore(preRegs)
+			tsim.SetReg(injDest, tsim.Reg(injDest)^(1<<bit))
+			eng.submit(func() {
+				trial := runVMTrial(tsim, injDest, window, goldenEnd, cfg.NoEarlyExit)
+				trial.Point = injPC
 				trial.Bit = bit
 				trials[slot] = trial
 				jr.record(slot, &trials[slot])
+				if fm != nil {
+					memPool.Put(fm)
+				}
 				eng.done(cfg.Progress, totalTrials)
-			}
+			})
 		}
 		if stopped {
 			break
 		}
 
-		// Rewind once more and make the golden continuation permanent
-		// so the walk to the next point starts clean.
+		// Rewind to the injection point and make the golden path up to it
+		// permanent so the walk to the next point starts clean.
 		m.RestoreTo(preMark)
 		sim.Restore(preRegs)
 		m.DiscardTo(0)
@@ -554,6 +518,92 @@ func RunVM(cfg VMConfig) (*VMResult, error) {
 	return result, nil
 }
 
+// goldenRec is one golden instruction as a trial compares against it: the
+// fields runVMTrial reads from the golden run, 32 bytes against the 96 of a
+// full arch.Event.
+type goldenRec struct {
+	PC, DestVal, MemAddr, StoreVal uint64
+}
+
+// vmGoldenTrace is the campaign's single record of the golden run. Its lead
+// simulator walks forward once, never rewinding, and appends one record per
+// retired instruction; a point's observation window is the slice starting
+// at the instruction after its injection. Points are sorted, so windows
+// start ever later and the lead only moves forward: the campaign simulates
+// each golden instruction twice (trailing and lead) instead of once per
+// overlapping window.
+//
+// The trace holds at most 2×window records. Records before the current
+// window are dropped when it fills: compacted in place serially, or, when
+// shared with workers still reading earlier windows, moved into a fresh
+// buffer so those windows stay intact. A window starting past every
+// recorded instruction skips the lead ahead without recording.
+type vmGoldenTrace struct {
+	lead   *arch.Sim
+	buf    []goldenRec
+	lo, hi int    // buf[lo:hi] records instructions base, base+1, ...
+	base   uint64 // instruction index of buf[lo]
+	n      uint64 // window length
+	shared bool
+}
+
+func newVMGoldenTrace(lead *arch.Sim, window uint64, shared bool) *vmGoldenTrace {
+	return &vmGoldenTrace{
+		lead:   lead,
+		buf:    make([]goldenRec, 2*window),
+		base:   lead.InstRet,
+		n:      window,
+		shared: shared,
+	}
+}
+
+// window returns the golden records of instructions start through
+// start+n-1 and the golden state after them. A nil window means the golden
+// program halts first (the campaign truncates); a golden exception is an
+// error. Successive calls must not decrease start.
+func (g *vmGoldenTrace) window(start uint64) ([]goldenRec, arch.Snapshot, error) {
+	end := start + g.n
+	if g.base+uint64(g.hi-g.lo) < start {
+		// Nothing recorded is live: drop it and skip the lead ahead.
+		g.lo = g.hi
+		for g.lead.InstRet < start && !g.lead.Stopped() {
+			g.lead.Step()
+		}
+		g.base = g.lead.InstRet
+	}
+	for g.base+uint64(g.hi-g.lo) < end && !g.lead.Stopped() {
+		if g.hi == len(g.buf) {
+			g.dropBefore(start)
+		}
+		ev := g.lead.Step()
+		if ev.Exception != arch.ExcNone || ev.Halted {
+			break
+		}
+		g.buf[g.hi] = goldenRec{PC: ev.PC, DestVal: ev.DestVal, MemAddr: ev.MemAddr, StoreVal: ev.StoreVal}
+		g.hi++
+	}
+	if g.base+uint64(g.hi-g.lo) < end {
+		if g.lead.Excepted {
+			return nil, arch.Snapshot{}, fmt.Errorf("inject: golden exception at %#x", g.lead.PC)
+		}
+		return nil, arch.Snapshot{}, nil
+	}
+	from := g.lo + int(start-g.base)
+	return g.buf[from : from+int(g.n) : from+int(g.n)], g.lead.Snapshot(), nil
+}
+
+// dropBefore discards the records of instructions before start to make
+// room in a full trace.
+func (g *vmGoldenTrace) dropBefore(start uint64) {
+	live := g.buf[g.lo+int(start-g.base) : g.hi]
+	dst := g.buf
+	if g.shared {
+		dst = make([]goldenRec, len(g.buf))
+	}
+	g.lo, g.hi = 0, copy(dst, live)
+	g.buf, g.base = dst, start
+}
+
 // protectedVMTrial is the outcome of a trial absorbed by protection at the
 // injection site: no fault enters the machine, so the trial is masked by
 // construction, and Protected records why.
@@ -571,11 +621,11 @@ func protectedVMTrial(point uint64, bit uint8) VMTrial {
 }
 
 // runVMTrial executes the faulty continuation against the recorded golden
-// events and classifies its outcome. Once the faulty machine halts behind a
+// window and classifies its outcome. Once the faulty machine halts behind a
 // control-flow divergence, every remaining Step is a stopped no-op that can
 // no longer change the classification, so the replay stops early (unless
 // noEarlyExit asks for the full-window proof mode).
-func runVMTrial(sim *arch.Sim, injReg isa.Reg, golden []arch.Event, goldenEnd arch.Snapshot, noEarlyExit bool) VMTrial {
+func runVMTrial(sim *arch.Sim, injReg isa.Reg, golden []goldenRec, goldenEnd arch.Snapshot, noEarlyExit bool) VMTrial {
 	trial := VMTrial{
 		ExcLat:     Never,
 		CFVLat:     Never,

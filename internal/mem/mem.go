@@ -93,6 +93,13 @@ type writeRecord struct {
 type Memory struct {
 	pages map[uint64]*page
 
+	// fetchPage caches the page FetchWord last hit and fetchVPN its page
+	// number, sparing the map lookup on straight-line fetches. Permission
+	// and alignment are re-checked on every hit, so a remap is seen at
+	// once; code that drops or replaces page structs must clear it.
+	fetchPage *page
+	fetchVPN  uint64
+
 	journalOn bool
 	journal   []writeRecord
 }
@@ -209,9 +216,13 @@ func (m *Memory) WriteL(addr uint64, val uint32) error {
 
 // FetchWord reads a 32-bit instruction word, checking execute permission.
 func (m *Memory) FetchWord(addr uint64) (uint32, error) {
-	p, err := m.lookup(addr, PermExec, 4)
-	if err != nil {
-		return 0, err
+	p := m.fetchPage
+	if p == nil || addr>>PageBits != m.fetchVPN || addr&3 != 0 || p.perm&PermExec == 0 {
+		var err error
+		if p, err = m.lookup(addr, PermExec, 4); err != nil {
+			return 0, err
+		}
+		m.fetchPage, m.fetchVPN = p, addr>>PageBits
 	}
 	off := addr & offsetMask
 	return binary.LittleEndian.Uint32(p.data[off : off+4]), nil
@@ -348,6 +359,9 @@ func (m *Memory) CopyFrom(src *Memory) {
 	for vpn := range m.pages {
 		if _, ok := src.pages[vpn]; !ok {
 			delete(m.pages, vpn)
+			if vpn == m.fetchVPN {
+				m.fetchPage = nil
+			}
 		}
 	}
 	for vpn, sp := range src.pages {

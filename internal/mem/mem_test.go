@@ -445,3 +445,83 @@ func TestDisableJournal(t *testing.T) {
 		t.Errorf("[0] = %d, want 2 (restore floor is the re-enable point)", v)
 	}
 }
+
+// fetchFaults asserts that FetchWord at addr fails with the given kind.
+func fetchFaults(t *testing.T, m *Memory, addr uint64, kind FaultKind, why string) {
+	t.Helper()
+	var f *Fault
+	if _, err := m.FetchWord(addr); !errors.As(err, &f) || f.Kind != kind {
+		t.Errorf("%s: FetchWord(%#x) = %v, want fault kind %d", why, addr, err, kind)
+	}
+}
+
+// TestFetchCacheRechecksEveryHit pins the last-fetched-page cache: a hit
+// still checks alignment and execute permission, so a remap without
+// PermExec or a misaligned PC faults exactly as an uncached fetch does.
+func TestFetchCacheRechecksEveryHit(t *testing.T) {
+	m := New()
+	m.Map(0x4000, PageSize, PermRX)
+	if err := m.WriteBytes(0x4000, []byte{1, 2, 3, 4, 5, 6, 7, 8}); err != nil {
+		t.Fatal(err)
+	}
+	if w, err := m.FetchWord(0x4000); err != nil || w != 0x04030201 {
+		t.Fatalf("FetchWord = %#x, %v", w, err)
+	}
+	if w, err := m.FetchWord(0x4004); err != nil || w != 0x08070605 {
+		t.Fatalf("cached FetchWord = %#x, %v", w, err)
+	}
+	fetchFaults(t, m, 0x4002, FaultAlign, "misaligned fetch on the cached page")
+	m.Map(0x4000, PageSize, PermRW)
+	fetchFaults(t, m, 0x4000, FaultAccess, "cached page remapped without PermExec")
+	m.Map(0x4000, PageSize, PermRX)
+	if _, err := m.FetchWord(0x4000); err != nil {
+		t.Errorf("fetch after remapping PermExec back: %v", err)
+	}
+}
+
+// TestFetchCacheInvalidation covers the two ways a cached page struct can
+// leave the image: CopyFrom deleting it, and LoadState replacing every
+// page. A stale cache would keep fetching from the dropped struct.
+func TestFetchCacheInvalidation(t *testing.T) {
+	code := func() *Memory {
+		m := New()
+		m.Map(0x4000, PageSize, PermRX)
+		if err := m.WriteBytes(0x4000, []byte{1, 2, 3, 4}); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+
+	m := code()
+	if _, err := m.FetchWord(0x4000); err != nil {
+		t.Fatal(err)
+	}
+	other := New()
+	other.Map(0x8000, PageSize, PermRX)
+	m.CopyFrom(other)
+	fetchFaults(t, m, 0x4000, FaultAccess, "cached page removed by CopyFrom")
+
+	m = code()
+	if _, err := m.FetchWord(0x4000); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LoadState(other.SaveState()); err != nil {
+		t.Fatal(err)
+	}
+	fetchFaults(t, m, 0x4000, FaultAccess, "cached page dropped by LoadState")
+
+	m = code()
+	if _, err := m.FetchWord(0x4000); err != nil {
+		t.Fatal(err)
+	}
+	next := code()
+	if err := next.WriteBytes(0x4000, []byte{9, 9, 9, 9}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.LoadState(next.SaveState()); err != nil {
+		t.Fatal(err)
+	}
+	if w, err := m.FetchWord(0x4000); err != nil || w != 0x09090909 {
+		t.Errorf("FetchWord after LoadState = %#x, %v; want the loaded word", w, err)
+	}
+}
