@@ -19,9 +19,11 @@ import (
 // engine's output absolutely, so any rewrite of how the golden run is
 // recorded or replayed must reproduce every trial byte for byte.
 
-func vmTrialsDigest(t *testing.T, r *VMResult) string {
+// trialsDigest is the SHA-256 of json.Marshal(trials); both engines' digest
+// tests pin their results through it.
+func trialsDigest[T any](t *testing.T, trials []T) string {
 	t.Helper()
-	b, err := json.Marshal(r.Trials)
+	b, err := json.Marshal(trials)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,10 +31,10 @@ func vmTrialsDigest(t *testing.T, r *VMResult) string {
 	return hex.EncodeToString(sum[:])
 }
 
-func checkVMDigest(t *testing.T, label string, r *VMResult, want string) {
+func checkDigest[T any](t *testing.T, label string, trials []T, want string) {
 	t.Helper()
-	if got := vmTrialsDigest(t, r); got != want {
-		t.Errorf("%s: trials digest %s, want %s (%d trials)", label, got, want, len(r.Trials))
+	if got := trialsDigest(t, trials); got != want {
+		t.Errorf("%s: trials digest %s, want %s (%d trials)", label, got, want, len(trials))
 	}
 }
 
@@ -60,7 +62,7 @@ func TestVMDigestsDense(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				checkVMDigest(t, fmt.Sprintf("workers=%d", workers), r, denseVMDigests[bench])
+				checkDigest(t, fmt.Sprintf("workers=%d", workers), r.Trials, denseVMDigests[bench])
 			}
 		})
 	}
@@ -83,7 +85,7 @@ func TestVMDigestsSparse(t *testing.T) {
 		if len(r.Trials) != cfg.Trials {
 			t.Fatalf("workers=%d: %d trials, want %d", workers, len(r.Trials), cfg.Trials)
 		}
-		checkVMDigest(t, fmt.Sprintf("workers=%d", workers), r, want)
+		checkDigest(t, fmt.Sprintf("workers=%d", workers), r.Trials, want)
 	}
 }
 
@@ -147,7 +149,7 @@ func TestVMDigestsHaltInWindow(t *testing.T) {
 		if len(r.Trials) != wantTrials {
 			t.Errorf("workers=%d: %d trials, want %d", workers, len(r.Trials), wantTrials)
 		}
-		checkVMDigest(t, fmt.Sprintf("workers=%d", workers), r, want)
+		checkDigest(t, fmt.Sprintf("workers=%d", workers), r.Trials, want)
 	}
 }
 
@@ -172,7 +174,7 @@ func TestVMDigestsResumed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkVMDigest(t, "one-shot", oneShot, want)
+	checkDigest(t, "one-shot", oneShot.Trials, want)
 
 	dir := filepath.Join(t.TempDir(), "campaign")
 	cfg := resumeVM(workload.Gzip)
@@ -187,7 +189,7 @@ func TestVMDigestsResumed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkVMDigest(t, "interrupt+resume", resumed, want)
+	checkDigest(t, "interrupt+resume", resumed.Trials, want)
 
 	dirs := []string{filepath.Join(t.TempDir(), "s0"), filepath.Join(t.TempDir(), "s1")}
 	scfg := resumeVM(workload.Gzip)
@@ -208,5 +210,5 @@ func TestVMDigestsResumed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkVMDigest(t, "shard+merge", merged, want)
+	checkDigest(t, "shard+merge", merged.Trials, want)
 }
