@@ -53,6 +53,27 @@ func TestRunPerBenchAndCSV(t *testing.T) {
 	}
 }
 
+// TestRunFig6FooterNamesFirstBenchmark pins the fig6 protection footer to
+// the first benchmark in -bench order, so repeated runs print identical
+// output.
+func TestRunFig6FooterNamesFirstBenchmark(t *testing.T) {
+	out, err := captureStdout(t, func() error {
+		return run([]string{"-trials", "0.05", "-scale", "0.5", "-bench", "mcf,gzip", "fig6"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var footer []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, "protection covers") {
+			footer = append(footer, line)
+		}
+	}
+	if len(footer) != 1 || !strings.HasPrefix(footer[0], "mcf: ") {
+		t.Fatalf("fig6 footer = %q, want one line naming mcf", footer)
+	}
+}
+
 func TestRunMetricsFlag(t *testing.T) {
 	dir := t.TempDir()
 

@@ -38,7 +38,7 @@ func run() error {
 		// Trials fan out across every CPU; the campaign engine pre-draws
 		// all random picks serially, so the results are bit-identical to
 		// a Workers: 0 serial run.
-		Workers: runtime.NumCPU(),
+		RunOptions: inject.RunOptions{Workers: runtime.NumCPU()},
 	}
 	fmt.Printf("injecting %d single-bit faults into the pipeline running %s (%d workers)...\n\n",
 		cfg.Points*cfg.TrialsPerPoint, cfg.Bench, cfg.Workers)

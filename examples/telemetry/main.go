@@ -42,8 +42,7 @@ func campaign(sink obs.Sink) (*inject.UArchResult, error) {
 		WarmupCycles:   5_000,
 		SpreadCycles:   10_000,
 		WindowCycles:   5_000,
-		Workers:        runtime.NumCPU(),
-		Obs:            sink,
+		RunOptions:     inject.RunOptions{Workers: runtime.NumCPU(), Obs: sink},
 	})
 }
 

@@ -79,34 +79,26 @@ type Options struct {
 	Interrupt <-chan struct{}
 }
 
-// vmCampaign copies the durability options into a software-level campaign
-// configuration.
-func (o Options) vmCampaign(cfg inject.VMConfig) inject.VMConfig {
-	cfg.Interrupt = o.Interrupt
+// run returns the run-time options of the campaign named id (its
+// CampaignID): the worker budget, progress and telemetry sinks and the
+// interrupt channel, plus its journal directory under CampaignRoot and its
+// golden image under GoldenImageRoot.
+func (o Options) run(id string) inject.RunOptions {
+	ro := inject.RunOptions{
+		Workers:   o.Workers,
+		Progress:  o.Progress,
+		Obs:       o.Obs,
+		Interrupt: o.Interrupt,
+	}
 	if o.CampaignRoot != "" {
-		cfg.ResumeFrom = filepath.Join(o.CampaignRoot, cfg.CampaignID())
-		cfg.ShardIndex, cfg.ShardCount = o.ShardIndex, o.ShardCount
-		cfg.CompressJournal = o.CompressJournal
+		ro.ResumeFrom = filepath.Join(o.CampaignRoot, id)
+		ro.ShardIndex, ro.ShardCount = o.ShardIndex, o.ShardCount
+		ro.CompressJournal = o.CompressJournal
 	}
 	if o.GoldenImageRoot != "" {
-		cfg.GoldenImage = filepath.Join(o.GoldenImageRoot, cfg.CampaignID()+".golden")
+		ro.GoldenImage = filepath.Join(o.GoldenImageRoot, id+".golden")
 	}
-	return cfg
-}
-
-// uarchCampaign copies the durability options into a microarchitectural
-// campaign configuration.
-func (o Options) uarchCampaign(cfg inject.UArchConfig) inject.UArchConfig {
-	cfg.Interrupt = o.Interrupt
-	if o.CampaignRoot != "" {
-		cfg.ResumeFrom = filepath.Join(o.CampaignRoot, cfg.CampaignID())
-		cfg.ShardIndex, cfg.ShardCount = o.ShardIndex, o.ShardCount
-		cfg.CompressJournal = o.CompressJournal
-	}
-	if o.GoldenImageRoot != "" {
-		cfg.GoldenImage = filepath.Join(o.GoldenImageRoot, cfg.CampaignID()+".golden")
-	}
-	return cfg
+	return ro
 }
 
 func (o *Options) applyDefaults() {
@@ -153,17 +145,16 @@ func Fig2(opts Options, low32 bool) (*Fig2Result, error) {
 		PerBench: make(map[workload.Benchmark]*inject.VMResult, len(opts.Benchmarks)),
 	}
 	for _, bench := range opts.Benchmarks {
-		r, err := inject.RunVM(opts.vmCampaign(inject.VMConfig{
-			Bench:    bench,
-			Seed:     opts.Seed,
-			Scale:    opts.Scale,
-			Trials:   scaleCount(1000, opts.TrialFactor, 40),
-			Window:   100_000,
-			Low32:    low32,
-			Workers:  opts.Workers,
-			Progress: opts.Progress,
-			Obs:      opts.Obs,
-		}))
+		cfg := inject.VMConfig{
+			Bench:  bench,
+			Seed:   opts.Seed,
+			Scale:  opts.Scale,
+			Trials: scaleCount(1000, opts.TrialFactor, 40),
+			Window: 100_000,
+			Low32:  low32,
+		}
+		cfg.RunOptions = opts.run(cfg.CampaignID())
+		r, err := inject.RunVM(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("fig2 %s: %w", bench, err)
 		}
@@ -215,7 +206,7 @@ func Campaign(opts Options, cc CampaignConfig) (*UArchExperiment, error) {
 		PerBench:    make(map[workload.Benchmark]*inject.UArchResult, len(opts.Benchmarks)),
 	}
 	for _, bench := range opts.Benchmarks {
-		r, err := inject.RunUArch(opts.uarchCampaign(inject.UArchConfig{
+		cfg := inject.UArchConfig{
 			Bench:          bench,
 			Seed:           opts.Seed,
 			Scale:          opts.Scale,
@@ -226,10 +217,9 @@ func Campaign(opts Options, cc CampaignConfig) (*UArchExperiment, error) {
 			Harden:         cc.Harden,
 			Policy:         cc.Policy,
 			Pipeline:       opts.Pipeline,
-			Workers:        opts.Workers,
-			Progress:       opts.Progress,
-			Obs:            opts.Obs,
-		}))
+		}
+		cfg.RunOptions = opts.run(cfg.CampaignID())
+		r, err := inject.RunUArch(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("uarch campaign %s: %w", bench, err)
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/fit"
 	"repro/internal/harden"
 	"repro/internal/inject"
+	"repro/internal/obs"
 	"repro/internal/perf"
 	"repro/internal/restore"
 	"repro/internal/workload"
@@ -228,44 +229,42 @@ func TestAblateCheckpoints(t *testing.T) {
 }
 
 // TestDurabilityOptionThreading pins the Options→campaign-config plumbing:
-// golden-image paths, journal compression and shard assignment must reach
-// both campaign kinds, and golden images must not require a CampaignRoot.
+// the worker budget, telemetry sink, golden-image path, journal compression
+// and shard assignment must reach a campaign's RunOptions, and golden images
+// must not require a CampaignRoot.
 func TestDurabilityOptionThreading(t *testing.T) {
+	reg := obs.NewRegistry()
 	o := Options{
+		Workers:         3,
+		Obs:             reg,
 		CampaignRoot:    "root",
 		GoldenImageRoot: "golden",
 		CompressJournal: true,
 		ShardIndex:      1,
 		ShardCount:      3,
 	}
-	vm := o.vmCampaign(inject.VMConfig{Bench: workload.Gzip, Trials: 10, Window: 1000})
-	if vm.ResumeFrom != filepath.Join("root", vm.CampaignID()) {
-		t.Errorf("vm ResumeFrom = %q", vm.ResumeFrom)
+	id := inject.VMConfig{Bench: workload.Gzip, Trials: 10, Window: 1000}.CampaignID()
+	ro := o.run(id)
+	if ro.ResumeFrom != filepath.Join("root", id) {
+		t.Errorf("ResumeFrom = %q", ro.ResumeFrom)
 	}
-	if !vm.CompressJournal || vm.ShardIndex != 1 || vm.ShardCount != 3 {
-		t.Errorf("vm durability options not threaded: %+v", vm)
+	if !ro.CompressJournal || ro.ShardIndex != 1 || ro.ShardCount != 3 {
+		t.Errorf("durability options not threaded: %+v", ro)
 	}
-	if vm.GoldenImage != filepath.Join("golden", vm.CampaignID()+".golden") {
-		t.Errorf("vm GoldenImage = %q", vm.GoldenImage)
+	if ro.GoldenImage != filepath.Join("golden", id+".golden") {
+		t.Errorf("GoldenImage = %q", ro.GoldenImage)
 	}
-	ua := o.uarchCampaign(inject.UArchConfig{Bench: workload.Gzip, Points: 2, TrialsPerPoint: 3})
-	if ua.ResumeFrom != filepath.Join("root", ua.CampaignID()) {
-		t.Errorf("uarch ResumeFrom = %q", ua.ResumeFrom)
-	}
-	if !ua.CompressJournal || ua.ShardIndex != 1 || ua.ShardCount != 3 {
-		t.Errorf("uarch durability options not threaded: %+v", ua)
-	}
-	if ua.GoldenImage != filepath.Join("golden", ua.CampaignID()+".golden") {
-		t.Errorf("uarch GoldenImage = %q", ua.GoldenImage)
+	if ro.Workers != 3 || ro.Obs != reg {
+		t.Errorf("run-time options not threaded: %+v", ro)
 	}
 
 	// Golden images stand alone: no CampaignRoot needed.
-	solo := Options{GoldenImageRoot: "g"}.vmCampaign(inject.VMConfig{Bench: workload.MCF})
+	solo := Options{GoldenImageRoot: "g"}.run("x")
 	if solo.GoldenImage == "" || solo.ResumeFrom != "" {
 		t.Errorf("golden-only threading wrong: %+v", solo)
 	}
 	// CompressJournal without a CampaignRoot is inert — there is no journal.
-	if noRoot := (Options{CompressJournal: true}).vmCampaign(inject.VMConfig{}); noRoot.CompressJournal {
+	if noRoot := (Options{CompressJournal: true}).run("x"); noRoot.CompressJournal {
 		t.Error("CompressJournal leaked without CampaignRoot")
 	}
 }

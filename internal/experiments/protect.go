@@ -74,7 +74,7 @@ func ProtectCompare(opts Options) (*ProtectCompareResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("protect %s: %w", bench, err)
 		}
-		r, err := inject.RunUArch(opts.uarchCampaign(inject.UArchConfig{
+		cfg := inject.UArchConfig{
 			Bench:          bench,
 			Seed:           opts.Seed,
 			Scale:          opts.Scale,
@@ -82,10 +82,9 @@ func ProtectCompare(opts Options) (*ProtectCompareResult, error) {
 			TrialsPerPoint: scaleCount(70, opts.TrialFactor, 12),
 			WindowCycles:   10_000,
 			Pipeline:       opts.Pipeline,
-			Workers:        opts.Workers,
-			Progress:       opts.Progress,
-			Obs:            opts.Obs,
-		}))
+		}
+		cfg.RunOptions = opts.run(cfg.CampaignID())
+		r, err := inject.RunUArch(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("protect %s: %w", bench, err)
 		}
@@ -164,7 +163,7 @@ func BudgetSweep(opts Options, budgets []uint64) (*BudgetSweepResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("budget-sweep %s: %w", bench, err)
 		}
-		r, err := inject.RunUArch(opts.uarchCampaign(inject.UArchConfig{
+		cfg := inject.UArchConfig{
 			Bench:          bench,
 			Seed:           opts.Seed,
 			Scale:          opts.Scale,
@@ -172,10 +171,9 @@ func BudgetSweep(opts Options, budgets []uint64) (*BudgetSweepResult, error) {
 			TrialsPerPoint: scaleCount(70, opts.TrialFactor, 12),
 			WindowCycles:   10_000,
 			Pipeline:       opts.Pipeline,
-			Workers:        opts.Workers,
-			Progress:       opts.Progress,
-			Obs:            opts.Obs,
-		}))
+		}
+		cfg.RunOptions = opts.run(cfg.CampaignID())
+		r, err := inject.RunUArch(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("budget-sweep %s: %w", bench, err)
 		}

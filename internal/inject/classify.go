@@ -244,29 +244,6 @@ type UArchTrial struct {
 	ExcKind arch.ExceptionKind
 }
 
-// trialDecision formalises the moment a trial's outcome classification
-// becomes final: a terminal pipeline status (exception, deadlock, committed
-// halt) that no further simulation can change, or a masked verdict (state
-// reconverged with the golden run with no architectural damage). The
-// early-exit engines stop simulating at that moment; the NoEarlyExit proof
-// mode instead freezes the classification here, runs the window out, and
-// returns the frozen record — byte-identical by construction, while
-// exercising the post-decision cycles the fast path skips.
-type trialDecision struct {
-	decided bool
-	frozen  UArchTrial
-}
-
-// decide freezes the trial's classification at first call; later calls (a
-// later symptom under NoEarlyExit) are ignored, mirroring the fast path's
-// first-decision-wins returns.
-func (d *trialDecision) decide(t *UArchTrial) {
-	if !d.decided {
-		d.decided = true
-		d.frozen = *t
-	}
-}
-
 // cfvLatFor returns the control-flow symptom latency under the detector.
 func (t UArchTrial) cfvLatFor(det Detector) uint64 {
 	switch det {

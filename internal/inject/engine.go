@@ -18,9 +18,11 @@
 //     (point, trial) coordinates. Completion order affects nothing; no
 //     locks are involved; the race detector sees only disjoint writes.
 //
-// Golden-run recording stays on the dispatching goroutine — the golden
-// simulators only move forward and cannot be shared — while trials fan out
-// behind it. The µarch engine records each point's continuation; the VM
+// Both campaign kinds dispatch through one driver, runCampaign
+// (campaign.go), which walks the plan point by point and submits each
+// trial here. Golden-run recording stays on the dispatching goroutine — the
+// golden simulators only move forward and cannot be shared — while trials
+// fan out behind it. The µarch engine records each point's continuation; the VM
 // engine extends one campaign-wide trace that a point's trials read as a
 // window. A sync.Pool of clones (reset from the master via
 // Pipeline.ResetFrom / Memory.CopyFrom) recycles the per-trial fork

@@ -8,8 +8,6 @@ import (
 
 	"repro/internal/arch"
 	"repro/internal/ckptio"
-	"repro/internal/mem"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 )
 
@@ -30,30 +28,6 @@ import (
 // vmMemChunk is the memory-image slice carried per VM golden frame.
 const vmMemChunk = 1 << 18
 
-// goldenKey identifies the warm-up a uarch golden image captures: exactly
-// the inputs that determine the warmed state, nothing more, so one image
-// serves every campaign whose warm-up matches (different Points, trial
-// counts or shard assignments included).
-func (c *UArchConfig) goldenKey(pcfg pipeline.Config) string {
-	return fmt.Sprintf("uarch|bench=%s|seed=%d|scale=%g|warmup=%d|pipe=%+v",
-		c.Bench, c.Seed, c.Scale, c.WarmupCycles, pcfg)
-}
-
-// goldenKey identifies the warm-up boundary a VM golden image captures.
-func (c *VMConfig) goldenKey() string {
-	return fmt.Sprintf("vm|bench=%s|seed=%d|scale=%g|warmup=%d",
-		c.Bench, c.Seed, c.Scale, c.Warmup)
-}
-
-// goldenWorkers bounds the ckptio frame fan-out by the campaign's worker
-// budget. The bytes are identical at any count.
-func goldenWorkers(workers int) int {
-	if workers < 1 {
-		return 1
-	}
-	return workers
-}
-
 // invalidGoldenImage reports whether a load failure means the file is not a
 // structurally valid ckptio container — a torn copy, bit rot, or a file that
 // was never an image. Such a file is treated exactly like an absent one: the
@@ -71,73 +45,107 @@ func invalidGoldenImage(err error) bool {
 		errors.Is(err, ckptio.ErrCorrupt)
 }
 
-// recordGoldenSaved publishes save-side telemetry: image count, frame count
-// and the plain/stored byte totals (their ratio is the compression factor).
-func recordGoldenSaved(sink obs.Sink, ns string, st ckptio.Stats) {
-	sink.Counter(ns + "_golden_image_saved_total").Inc()
-	sink.Counter(ns + "_golden_image_frames_total").Add(int64(st.Frames))
-	sink.Counter(ns + "_golden_image_plain_bytes_total").Add(st.PlainBytes)
-	sink.Counter(ns + "_golden_image_stored_bytes_total").Add(st.StoredBytes)
+// goldenState is one engine's warm-up boundary as a golden image holds it:
+// the key naming the warm-up, the walk that reaches it, and the codec that
+// saves and restores the state there.
+type goldenState interface {
+	goldenKey() string
+	warm()
+	saveGolden(path string, key []byte, workers int) (ckptio.Stats, error)
+	loadGolden(path string, key []byte, workers int) error
 }
 
-// loadUArchGolden restores master from cfg.GoldenImage if the file exists.
-// It returns whether the warm-up was skipped.
-func loadUArchGolden(cfg *UArchConfig, pcfg pipeline.Config, master *pipeline.Pipeline) (bool, error) {
-	if cfg.GoldenImage == "" {
-		return false, nil
-	}
-	if _, err := os.Stat(cfg.GoldenImage); err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		return false, err
-	}
-	if err := master.LoadGoldenImage(cfg.GoldenImage, []byte(cfg.goldenKey(pcfg)), goldenWorkers(cfg.Workers)); err != nil {
-		if invalidGoldenImage(err) {
-			cfg.Obs.Counter("campaign_uarch_golden_image_invalid_total").Inc()
-			return false, nil // self-heal: warm up again and rewrite the image
-		}
-		return false, fmt.Errorf("inject: golden image %s: %w", cfg.GoldenImage, err)
-	}
-	cfg.Obs.Counter("campaign_uarch_golden_image_loaded_total").Inc()
-	return true, nil
-}
-
-// saveUArchGolden writes the warmed master to cfg.GoldenImage.
-func saveUArchGolden(cfg *UArchConfig, pcfg pipeline.Config, master *pipeline.Pipeline) error {
-	if cfg.GoldenImage == "" {
+// warmUp brings g to its warm-up boundary: restored from ro.GoldenImage when
+// that file holds a valid image, otherwise walked there — and then saved to
+// ro.GoldenImage, if set, for the next run. ns is the metric namespace. The
+// frame fan-out follows the campaign's worker budget; the bytes are
+// identical at any count.
+func warmUp(ro *RunOptions, ns string, g goldenState) error {
+	if ro.GoldenImage == "" {
+		g.warm()
 		return nil
 	}
-	st, err := master.WriteGoldenImage(cfg.GoldenImage, []byte(cfg.goldenKey(pcfg)), goldenWorkers(cfg.Workers))
-	if err != nil {
-		return fmt.Errorf("inject: writing golden image %s: %w", cfg.GoldenImage, err)
+	key, workers := []byte(g.goldenKey()), max(1, ro.Workers)
+	if _, err := os.Stat(ro.GoldenImage); err == nil {
+		err := g.loadGolden(ro.GoldenImage, key, workers)
+		if err == nil {
+			ro.Obs.Counter(ns + "_golden_image_loaded_total").Inc()
+			return nil
+		}
+		if !invalidGoldenImage(err) {
+			return fmt.Errorf("inject: golden image %s: %w", ro.GoldenImage, err)
+		}
+		// Self-heal: warm up again and rewrite the image.
+		ro.Obs.Counter(ns + "_golden_image_invalid_total").Inc()
+	} else if !os.IsNotExist(err) {
+		return err
 	}
-	recordGoldenSaved(cfg.Obs, "campaign_uarch", st)
+	g.warm()
+	st, err := g.saveGolden(ro.GoldenImage, key, workers)
+	if err != nil {
+		return fmt.Errorf("inject: writing golden image %s: %w", ro.GoldenImage, err)
+	}
+	// The plain/stored byte ratio is the compression factor.
+	ro.Obs.Counter(ns + "_golden_image_saved_total").Inc()
+	ro.Obs.Counter(ns + "_golden_image_frames_total").Add(int64(st.Frames))
+	ro.Obs.Counter(ns + "_golden_image_plain_bytes_total").Add(st.PlainBytes)
+	ro.Obs.Counter(ns + "_golden_image_stored_bytes_total").Add(st.StoredBytes)
 	return nil
 }
 
-// writeVMGolden saves the architectural simulator plus its memory image.
-func writeVMGolden(path string, key []byte, sim *arch.Sim, m *mem.Memory, workers int) (ckptio.Stats, error) {
+// goldenKey identifies the warm-up a uarch golden image captures: exactly
+// the inputs that determine the warmed state, nothing more, so one image
+// serves every campaign whose warm-up matches (different Points, trial
+// counts or shard assignments included).
+func (u *uarchCampaign) goldenKey() string {
+	c := u.cfg
+	return fmt.Sprintf("uarch|bench=%s|seed=%d|scale=%g|warmup=%d|pipe=%+v",
+		c.Bench, c.Seed, c.Scale, c.WarmupCycles, u.pcfg)
+}
+
+func (u *uarchCampaign) warm() { u.master.RunCycles(u.cfg.WarmupCycles) }
+
+func (u *uarchCampaign) saveGolden(path string, key []byte, workers int) (ckptio.Stats, error) {
+	return u.master.WriteGoldenImage(path, key, workers)
+}
+
+func (u *uarchCampaign) loadGolden(path string, key []byte, workers int) error {
+	return u.master.LoadGoldenImage(path, key, workers)
+}
+
+// goldenKey identifies the warm-up boundary a VM golden image captures.
+func (v *vmCampaign) goldenKey() string {
+	c := v.cfg
+	return fmt.Sprintf("vm|bench=%s|seed=%d|scale=%g|warmup=%d",
+		c.Bench, c.Seed, c.Scale, c.Warmup)
+}
+
+// warm walks the trailing simulator to the warm-up boundary. Injection
+// points all lie at or past it, so the walk replays exactly the Steps the
+// points loop would have taken; memory-journal records written before the
+// first point's snapshot mark are never rewound, only discarded, so a
+// restored image and a walk are byte-identical
+// (TestVMGoldenImageEquivalence).
+func (v *vmCampaign) warm() {
+	for v.sim.InstRet < v.cfg.Warmup && !v.sim.Stopped() {
+		v.sim.Step()
+	}
+}
+
+// saveGolden saves the trailing simulator plus its memory image.
+func (v *vmCampaign) saveGolden(path string, key []byte, workers int) (ckptio.Stats, error) {
+	sim, m := v.sim, v.m
 	w := ckptio.NewWriter()
 	w.Frame(ckptio.StyleRaw).Add(key)
 	cpu := make([]byte, 0, (len(sim.Regs)+2)*8+3)
-	var u [8]byte
-	for _, r := range sim.Regs {
-		binary.LittleEndian.PutUint64(u[:], r)
-		cpu = append(cpu, u[:]...)
+	for _, r := range append(sim.Regs[:], sim.PC, sim.InstRet) {
+		cpu = binary.LittleEndian.AppendUint64(cpu, r)
 	}
-	binary.LittleEndian.PutUint64(u[:], sim.PC)
-	cpu = append(cpu, u[:]...)
-	binary.LittleEndian.PutUint64(u[:], sim.InstRet)
-	cpu = append(cpu, u[:]...)
 	cpu = append(cpu, b2u8(sim.Halted), b2u8(sim.Excepted), byte(sim.LastException))
 	w.Frame(ckptio.StyleRaw).Add(cpu)
 	img := m.SaveState()
 	for off := 0; off < len(img) || off == 0; off += vmMemChunk {
-		end := off + vmMemChunk
-		if end > len(img) {
-			end = len(img)
-		}
+		end := min(off+vmMemChunk, len(img))
 		w.Frame(ckptio.StyleFlate).Add(img[off:end])
 		if end == len(img) {
 			break
@@ -149,8 +157,10 @@ func writeVMGolden(path string, key []byte, sim *arch.Sim, m *mem.Memory, worker
 	return w.Stats(), nil
 }
 
-// loadVMGolden restores a writeVMGolden image into sim and m.
-func loadVMGolden(path string, key []byte, sim *arch.Sim, m *mem.Memory, workers int) error {
+// loadGolden restores a saveGolden image into the trailing simulator and its
+// memory.
+func (v *vmCampaign) loadGolden(path string, key []byte, workers int) error {
+	sim, m := v.sim, v.m
 	f, err := ckptio.Open(path)
 	if err != nil {
 		return err
@@ -189,42 +199,6 @@ func loadVMGolden(path string, key []byte, sim *arch.Sim, m *mem.Memory, workers
 	sim.Halted = cpu[n+16] != 0
 	sim.Excepted = cpu[n+17] != 0
 	sim.LastException = arch.ExceptionKind(cpu[n+18])
-	return nil
-}
-
-// loadVMGoldenIfPresent restores from cfg.GoldenImage when it exists,
-// reporting whether the warm-up walk was skipped.
-func loadVMGoldenIfPresent(cfg *VMConfig, sim *arch.Sim, m *mem.Memory) (bool, error) {
-	if cfg.GoldenImage == "" {
-		return false, nil
-	}
-	if _, err := os.Stat(cfg.GoldenImage); err != nil {
-		if os.IsNotExist(err) {
-			return false, nil
-		}
-		return false, err
-	}
-	if err := loadVMGolden(cfg.GoldenImage, []byte(cfg.goldenKey()), sim, m, goldenWorkers(cfg.Workers)); err != nil {
-		if invalidGoldenImage(err) {
-			cfg.Obs.Counter("campaign_vm_golden_image_invalid_total").Inc()
-			return false, nil // self-heal: walk the warm-up again and rewrite
-		}
-		return false, fmt.Errorf("inject: golden image %s: %w", cfg.GoldenImage, err)
-	}
-	cfg.Obs.Counter("campaign_vm_golden_image_loaded_total").Inc()
-	return true, nil
-}
-
-// saveVMGolden writes the warm-up boundary state to cfg.GoldenImage.
-func saveVMGolden(cfg *VMConfig, sim *arch.Sim, m *mem.Memory) error {
-	if cfg.GoldenImage == "" {
-		return nil
-	}
-	st, err := writeVMGolden(cfg.GoldenImage, []byte(cfg.goldenKey()), sim, m, goldenWorkers(cfg.Workers))
-	if err != nil {
-		return fmt.Errorf("inject: writing golden image %s: %w", cfg.GoldenImage, err)
-	}
-	recordGoldenSaved(cfg.Obs, "campaign_vm", st)
 	return nil
 }
 

@@ -9,7 +9,8 @@
 // cached slots, re-runs only the missing ones, and produces a result
 // byte-identical to a one-shot serial run; k processes configured as shards
 // k/n each own the slots s with s%n == k-1 and their merged journals
-// reconstruct the same result.
+// reconstruct the same result. The campaign driver (runCampaign) applies all
+// of this for both engines, and mergeShards is the one merge.
 //
 // Truncation discipline: a workload that halts early truncates a campaign at
 // a point boundary, deterministically. Golden-trace recording at a point is
@@ -28,8 +29,10 @@ import (
 	"sync"
 
 	"repro/internal/campaignio"
+	"repro/internal/harden"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
+	"repro/internal/workload"
 )
 
 // ErrInterrupted is returned by RunUArch/RunVM when the configured Interrupt
@@ -43,17 +46,33 @@ var ErrInterrupted = errors.New("inject: campaign interrupted")
 const journalBatch = 64
 
 // fingerprint hashes the canonical form of a campaign's plan-relevant fields.
-// Workers, Progress, Obs, Interrupt, the durability fields and the inert
-// engine toggles (NoDecodeCache, NoEarlyExit, LegacyHash) are excluded: they
-// never influence results, and a campaign journalled serially must resume
-// under any worker count or engine setting.
+// The RunOptions (workers, progress, telemetry, interrupt and the
+// durability fields) are excluded: they never influence results, and a
+// campaign journalled serially must resume under any worker count.
 func fingerprint(canonical string) string {
 	h := fnv.New64a()
 	h.Write([]byte(canonical))
 	return fmt.Sprintf("%016x", h.Sum64())
 }
 
-func (c UArchConfig) planString() string {
+// newManifest builds the manifest of a campaign plan: its kind, benchmark,
+// seed, canonical plan string and slot count, plus ro's shard.
+func newManifest(kind string, bench workload.Benchmark, seed int64, plan string, slots int, ro RunOptions) campaignio.Manifest {
+	return campaignio.Manifest{
+		Version:    campaignio.FormatVersion,
+		Kind:       kind,
+		ConfigHash: fingerprint(plan),
+		Seed:       seed,
+		Bench:      string(bench),
+		Slots:      slots,
+		ShardIndex: ro.ShardIndex,
+		ShardCount: max(1, ro.ShardCount),
+	}
+}
+
+// manifest describes this configuration's trial plan and shard. The
+// receiver must already have defaults applied.
+func (c UArchConfig) manifest() campaignio.Manifest {
 	pcfg := pipeline.DefaultConfig()
 	if c.Pipeline != nil {
 		pcfg = *c.Pipeline
@@ -67,17 +86,19 @@ func (c UArchConfig) planString() string {
 	if c.Policy != nil {
 		s += "|policy=" + c.Policy.Fingerprint()
 	}
-	return s
+	return newManifest("uarch", c.Bench, c.Seed, s, c.Points*c.TrialsPerPoint, c.RunOptions)
 }
 
-func (c VMConfig) planString() string {
+// manifest describes this configuration's trial plan and shard. The
+// receiver must already have defaults applied.
+func (c VMConfig) manifest() campaignio.Manifest {
 	s := fmt.Sprintf("vm|bench=%s|seed=%d|scale=%g|trials=%d|points=%d|warmup=%d|spread=%d|window=%d|low32=%t",
 		c.Bench, c.Seed, c.Scale, c.Trials, c.Points,
 		c.Warmup, c.Spread, c.Window, c.Low32)
 	if c.Policy != nil {
 		s += "|policy=" + c.Policy.Fingerprint()
 	}
-	return s
+	return newManifest("vm", c.Bench, c.Seed, s, c.Trials, c.RunOptions)
 }
 
 // CampaignID names the campaign directory for this configuration: the
@@ -85,13 +106,17 @@ func (c VMConfig) planString() string {
 // share an ID exactly when their journals are interchangeable.
 func (c UArchConfig) CampaignID() string {
 	c.applyDefaults()
-	return fmt.Sprintf("uarch-%s-%s", c.Bench, fingerprint(c.planString()))
+	return campaignID(c.manifest())
 }
 
 // CampaignID names the campaign directory for this configuration.
 func (c VMConfig) CampaignID() string {
 	c.applyDefaults()
-	return fmt.Sprintf("vm-%s-%s", c.Bench, fingerprint(c.planString()))
+	return campaignID(c.manifest())
+}
+
+func campaignID(m campaignio.Manifest) string {
+	return fmt.Sprintf("%s-%s-%s", m.Kind, m.Bench, m.ConfigHash)
 }
 
 // uarchAux is the microarchitectural campaign's manifest aggregate: state
@@ -280,76 +305,72 @@ func interrupted(ch <-chan struct{}) bool {
 }
 
 // MergeUArch merges the shard directories of a microarchitectural campaign
-// into the result an unsharded run of cfg would return. Every shard manifest
-// must match cfg's plan; overlapping, stray, missing or torn records are
-// errors (campaignio.MergeScan) — a damaged shard is resumed, never patched
-// over here.
+// into the result an unsharded run of cfg would return (see mergeShards).
 func MergeUArch(cfg UArchConfig, dirs []string) (*UArchResult, error) {
 	cfg.applyDefaults()
-	man, payloads, err := campaignio.MergeScan(dirs)
+	man, trials, err := mergeShards[UArchTrial](dirs, cfg.manifest())
 	if err != nil {
-		return nil, err
-	}
-	if err := checkMergedManifest(man, "uarch", fingerprint(cfg.planString()),
-		cfg.Seed, string(cfg.Bench), cfg.Points*cfg.TrialsPerPoint); err != nil {
 		return nil, err
 	}
 	var aux uarchAux
 	if err := json.Unmarshal(man.Aux, &aux); err != nil {
 		return nil, fmt.Errorf("inject: %w: campaign aggregates: %v", campaignio.ErrCorrupt, err)
 	}
-	res := &UArchResult{
-		Config:    cfg,
-		TotalBits: aux.TotalBits,
-		LatchBits: aux.LatchBits,
-	}
-	res.HardenStats.TotalBits = aux.HardenStats.TotalBits
-	res.HardenStats.ECCBits = aux.HardenStats.ECCBits
-	res.HardenStats.ParityBits = aux.HardenStats.ParityBits
-	res.HardenStats.OverheadBits = aux.HardenStats.OverheadBits
-	res.Trials = make([]UArchTrial, len(payloads))
-	for slot, p := range payloads {
-		if err := json.Unmarshal(p, &res.Trials[slot]); err != nil {
-			return nil, fmt.Errorf("inject: %w: slot %d: %v", campaignio.ErrCorrupt, slot, err)
-		}
-	}
-	return res, nil
+	return &UArchResult{
+		Config:      cfg,
+		Trials:      trials,
+		TotalBits:   aux.TotalBits,
+		LatchBits:   aux.LatchBits,
+		HardenStats: harden.Stats(aux.HardenStats),
+	}, nil
 }
 
 // MergeVM merges the shard directories of a software-level campaign into the
-// result an unsharded run of cfg would return.
+// result an unsharded run of cfg would return (see mergeShards).
 func MergeVM(cfg VMConfig, dirs []string) (*VMResult, error) {
 	cfg.applyDefaults()
-	man, payloads, err := campaignio.MergeScan(dirs)
+	_, trials, err := mergeShards[VMTrial](dirs, cfg.manifest())
 	if err != nil {
 		return nil, err
 	}
-	if err := checkMergedManifest(man, "vm", fingerprint(cfg.planString()),
-		cfg.Seed, string(cfg.Bench), cfg.Trials); err != nil {
-		return nil, err
-	}
-	res := &VMResult{Config: cfg}
-	res.Trials = make([]VMTrial, len(payloads))
-	for slot, p := range payloads {
-		if err := json.Unmarshal(p, &res.Trials[slot]); err != nil {
-			return nil, fmt.Errorf("inject: %w: slot %d: %v", campaignio.ErrCorrupt, slot, err)
-		}
-	}
-	return res, nil
+	return &VMResult{Config: cfg, Trials: trials}, nil
 }
 
-func checkMergedManifest(m campaignio.Manifest, kind, hash string, seed int64, bench string, slots int) error {
+// mergeShards merges the shard directories of the campaign whose plan want
+// describes into the trials an unsharded run returns, plus the merged
+// manifest. Every shard manifest must match the plan; overlapping, stray,
+// missing or torn records are errors (campaignio.MergeScan) — a damaged
+// shard is resumed, never patched over here.
+func mergeShards[T any](dirs []string, want campaignio.Manifest) (campaignio.Manifest, []T, error) {
+	man, payloads, err := campaignio.MergeScan(dirs)
+	if err != nil {
+		return man, nil, err
+	}
+	if err := checkMergedManifest(man, want); err != nil {
+		return man, nil, err
+	}
+	trials := make([]T, len(payloads))
+	for slot, p := range payloads {
+		if err := json.Unmarshal(p, &trials[slot]); err != nil {
+			return man, nil, fmt.Errorf("inject: %w: slot %d: %v", campaignio.ErrCorrupt, slot, err)
+		}
+	}
+	return man, trials, nil
+}
+
+func checkMergedManifest(have, want campaignio.Manifest) error {
+	m := campaignio.ErrManifestMismatch
 	switch {
-	case m.Kind != kind:
-		return fmt.Errorf("%w: campaign kind %q, expected %q", campaignio.ErrManifestMismatch, m.Kind, kind)
-	case m.ConfigHash != hash:
-		return fmt.Errorf("%w: config hash %s, expected %s", campaignio.ErrManifestMismatch, m.ConfigHash, hash)
-	case m.Seed != seed:
-		return fmt.Errorf("%w: seed %d, expected %d", campaignio.ErrManifestMismatch, m.Seed, seed)
-	case m.Bench != bench:
-		return fmt.Errorf("%w: benchmark %q, expected %q", campaignio.ErrManifestMismatch, m.Bench, bench)
-	case m.Slots != slots:
-		return fmt.Errorf("%w: %d slots, expected %d", campaignio.ErrManifestMismatch, m.Slots, slots)
+	case have.Kind != want.Kind:
+		return fmt.Errorf("%w: campaign kind %q, expected %q", m, have.Kind, want.Kind)
+	case have.ConfigHash != want.ConfigHash:
+		return fmt.Errorf("%w: config hash %s, expected %s", m, have.ConfigHash, want.ConfigHash)
+	case have.Seed != want.Seed:
+		return fmt.Errorf("%w: seed %d, expected %d", m, have.Seed, want.Seed)
+	case have.Bench != want.Bench:
+		return fmt.Errorf("%w: benchmark %q, expected %q", m, have.Bench, want.Bench)
+	case have.Slots != want.Slots:
+		return fmt.Errorf("%w: %d slots, expected %d", m, have.Slots, want.Slots)
 	}
 	return nil
 }

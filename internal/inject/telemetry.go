@@ -3,8 +3,6 @@ package inject
 import (
 	"strings"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // Campaign telemetry: write-only accounting recorded AFTER the trial fan-out
@@ -28,53 +26,27 @@ func metricName(category string) string {
 	return s
 }
 
-// recordCampaignCommon emits the telemetry both campaign types share.
-// trials counts this run's owned slots only: a shard's result spans the
-// whole plan, with other shards' slots left zero-valued.
-func recordCampaignCommon(sink obs.Sink, prefix string, trials int, truncated bool, elapsed time.Duration) {
-	sink.Counter(prefix + "_trials_total").Add(int64(trials))
+// recordCampaignTelemetry accounts one finished (possibly truncated)
+// campaign. Outcomes count only the slots this run owns: a shard's result
+// spans the whole plan, with other shards' slots left zero-valued.
+func recordCampaignTelemetry[T any](ro *RunOptions, ns string, trials []T, category func(T) string, points int, truncated bool, elapsed time.Duration) {
+	sink := ro.Obs
+	if sink == nil {
+		return
+	}
+	sink.Counter(ns + "_points_total").Add(int64(points))
+	owned := 0
+	for slot, t := range trials {
+		if ownsSlot(slot, ro.ShardIndex, ro.ShardCount) {
+			owned++
+			sink.Counter(ns + "_outcome_" + metricName(category(t)) + "_total").Inc()
+		}
+	}
+	sink.Counter(ns + "_trials_total").Add(int64(owned))
 	if truncated {
-		sink.Counter(prefix + "_truncated_total").Inc()
+		sink.Counter(ns + "_truncated_total").Inc()
 	}
 	if secs := elapsed.Seconds(); secs > 0 {
-		sink.Gauge(prefix + "_trials_per_second").Set(float64(trials) / secs)
+		sink.Gauge(ns + "_trials_per_second").Set(float64(owned) / secs)
 	}
-}
-
-// recordVMTelemetry accounts one finished (possibly truncated) VM campaign.
-func recordVMTelemetry(sink obs.Sink, r *VMResult, truncated bool, elapsed time.Duration) {
-	if sink == nil {
-		return
-	}
-	const prefix = "campaign_vm"
-	owned := 0
-	for slot, t := range r.Trials {
-		if ownsSlot(slot, r.Config.ShardIndex, r.Config.ShardCount) {
-			owned++
-			cat := t.CategoryAt(r.Config.Window).String()
-			sink.Counter(prefix + "_outcome_" + metricName(cat) + "_total").Inc()
-		}
-	}
-	recordCampaignCommon(sink, prefix, owned, truncated, elapsed)
-}
-
-// recordUArchTelemetry accounts one finished (possibly truncated)
-// microarchitectural campaign. Outcomes are classified at the campaign's
-// observation window under the perfect detector — the raw upset taxonomy,
-// before any checkpoint-interval policy is applied.
-func recordUArchTelemetry(sink obs.Sink, r *UArchResult, truncated bool, elapsed time.Duration) {
-	if sink == nil {
-		return
-	}
-	const prefix = "campaign_uarch"
-	sink.Counter(prefix + "_points_total").Add(int64(len(r.Trials) / max(1, r.Config.TrialsPerPoint)))
-	owned := 0
-	for slot, t := range r.Trials {
-		if ownsSlot(slot, r.Config.ShardIndex, r.Config.ShardCount) {
-			owned++
-			cat := t.CategoryAt(r.Config.WindowCycles, DetectorPerfect).String()
-			sink.Counter(prefix + "_outcome_" + metricName(cat) + "_total").Inc()
-		}
-	}
-	recordCampaignCommon(sink, prefix, owned, truncated, elapsed)
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/campaignio"
 	"repro/internal/harden"
 	"repro/internal/isa"
-	"repro/internal/obs"
 	"repro/internal/pipeline"
 	"repro/internal/protect"
 	"repro/internal/workload"
@@ -74,87 +73,9 @@ type UArchConfig struct {
 	// Pipeline optionally overrides the processor configuration.
 	Pipeline *pipeline.Config
 
-	// NoDecodeCache disables the shared pre-decoded instruction cache
-	// built once per campaign from the workload's code image. The cache
-	// verifies every fetched word before hitting, so it is inert: results
-	// are byte-identical either way (the equivalence tests prove it), and
-	// the toggle is excluded from the durable-campaign plan string.
-	NoDecodeCache bool
-
-	// NoEarlyExit keeps every trial simulating to the end of its window
-	// even after its outcome classification is final (terminal pipeline
-	// status or masked reconvergence), instead of stopping at the
-	// decision. Inert by construction — the decided classification is
-	// what the trial reports either way — and excluded from the plan
-	// string; exists to prove the early-exit engine sound.
-	NoEarlyExit bool
-
-	// LegacyHash selects the original per-element state digest instead of
-	// the packed extent walk. Trials compare hashes only for equality
-	// within one campaign, so the choice is inert and excluded from the
-	// plan string; exists to prove campaign outcomes digest-independent.
-	LegacyHash bool
-
-	// Workers is the number of goroutines trials fan out across; 0 (or 1)
-	// runs the campaign serially on the calling goroutine. Results are
-	// bit-identical for every worker count: all random bit picks are
-	// pre-drawn serially and each trial writes a pre-assigned result slot.
-	Workers int
-
-	// Progress, if set, is called after each completed trial with the
-	// running and total trial counts. With Workers > 1 it is invoked from
-	// worker goroutines and must be safe for concurrent use. It must not
-	// influence campaign state.
-	Progress func(done, total int)
-
-	// Obs, if non-nil, receives campaign telemetry under the
-	// campaign_uarch_* namespace, plus per-stage pipeline counters and
-	// occupancy histograms from the master pipeline under pipeline_*.
-	// Purely observational: results are byte-identical with or without a
-	// sink.
-	Obs obs.Sink
-
-	// ResumeFrom, if non-empty, makes the campaign durable: a manifest and
-	// an append-only checksummed trial journal live in this directory
-	// (internal/campaignio). Slots already journalled are loaded instead
-	// of re-run, and newly completed trials are appended, so an
-	// interrupted campaign pointed back at the same directory continues
-	// where it stopped — with results byte-identical to a one-shot run.
-	// The manifest is validated against this configuration's plan
-	// fingerprint; a mismatch is an error, never a silent overwrite.
-	ResumeFrom string
-
-	// ShardIndex/ShardCount partition the pre-drawn trial plan across
-	// processes: shard i of n runs the slots s with s%n == i. Each shard
-	// journals into its own ResumeFrom directory; MergeUArch (or the
-	// restore-sim merge subcommand) reassembles the full result. Zero
-	// ShardCount means unsharded. Sharding requires ResumeFrom.
-	ShardIndex int
-	ShardCount int
-
-	// GoldenImage, if non-empty, is the path of a warmed-state golden
-	// image (internal/ckptio). When the file exists the campaign loads it
-	// instead of simulating WarmupCycles; when it does not, the campaign
-	// warms up normally and saves the image for the next run — so N
-	// sharded workers pointed at one image pay for warm-up once. The image
-	// records the configuration that produced it (bench, seed, scale,
-	// warm-up length, pipeline config); loading a mismatched image is an
-	// error, never silently wrong state. Results are byte-identical with
-	// or without an image, so — like the other inert toggles — the field
-	// is excluded from the durable-campaign plan string.
-	GoldenImage string
-
-	// CompressJournal selects the compressed-segment journal encoding
-	// (campaignio format RSTJRNL2) for newly created durable journals.
-	// Existing journals keep their own format on resume, scans read both,
-	// and merged output is identical either way, so the toggle is inert
-	// and excluded from the plan string.
-	CompressJournal bool
-
-	// Interrupt, if non-nil, stops the campaign cleanly when it becomes
-	// readable: in-flight trials drain, the journal tail is flushed, and
-	// RunUArch returns ErrInterrupted.
-	Interrupt <-chan struct{}
+	// RunOptions hold the run-time settings: workers, progress,
+	// telemetry, interruption and durability.
+	RunOptions
 }
 
 func (c *UArchConfig) applyDefaults() {
@@ -225,11 +146,13 @@ type uarchPick struct {
 	isLatch bool
 }
 
-// RunUArch executes the campaign: warm up, fork a golden pipeline at each
-// injection point, record its continuation, then run TrialsPerPoint
-// corrupted clones against it — serially, or fanned out across cfg.Workers
-// goroutines with bit-identical results (all bit picks are pre-drawn on the
-// dispatching goroutine; each trial fills a pre-assigned result slot).
+// RunUArch executes the campaign (see runCampaign): warm up, fork a golden
+// pipeline at each injection point, record its continuation, then run
+// TrialsPerPoint corrupted clones against it — serially, or fanned out
+// across cfg.Workers goroutines with bit-identical results (all bit picks
+// are pre-drawn on the dispatching goroutine; each trial fills a
+// pre-assigned result slot). Every trial uses the shared decode cache and
+// stops as soon as its outcome is decided.
 //
 // If the golden pipeline stops during warm-up or before an injection point
 // (a short workload at small Scale ends before the spread is exhausted),
@@ -244,9 +167,37 @@ type uarchPick struct {
 // the journal flushes, and RunUArch returns ErrInterrupted.
 func RunUArch(cfg UArchConfig) (*UArchResult, error) {
 	cfg.applyDefaults()
-	if err := validateSharding(cfg.ResumeFrom, cfg.ShardIndex, cfg.ShardCount); err != nil {
+	result := &UArchResult{Config: cfg}
+	trials, err := runCampaign(&cfg.RunOptions, "campaign_uarch", func() (campaign[UArchTrial], error) {
+		return newUArchCampaign(&cfg, result)
+	})
+	if err != nil {
 		return nil, err
 	}
+	result.Trials = trials
+	return result, nil
+}
+
+// uarchCampaign is the microarchitectural engine's side of runCampaign.
+type uarchCampaign struct {
+	cfg     *UArchConfig
+	result  *UArchResult // geometry aggregates, for the manifest
+	pcfg    pipeline.Config
+	master  *pipeline.Pipeline
+	space   *pipeline.StateSpace
+	protMap *harden.Map
+	offsets []uint64    // injection points as cycle offsets past warm-up
+	picks   []uarchPick // one per slot
+	pool    *clonePool  // by pointer, for the reason given on vmCampaign.memPool
+
+	base  uint64       // master's cycle count
+	trace *goldenTrace // the current point's golden continuation
+}
+
+// newUArchCampaign builds the master pipeline, draws every injection point
+// and bit pick, surveys the state space into result, and warms the master
+// up (or restores it from a golden image).
+func newUArchCampaign(cfg *UArchConfig, result *UArchResult) (*uarchCampaign, error) {
 	prog, err := workload.Generate(cfg.Bench, workload.Config{Seed: cfg.Seed, Scale: cfg.Scale})
 	if err != nil {
 		return nil, err
@@ -255,51 +206,40 @@ func RunUArch(cfg UArchConfig) (*UArchResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	pcfg := pipeline.DefaultConfig()
+	u := &uarchCampaign{cfg: cfg, result: result, pcfg: pipeline.DefaultConfig(), base: cfg.WarmupCycles}
 	if cfg.Pipeline != nil {
-		pcfg = *cfg.Pipeline
+		u.pcfg = *cfg.Pipeline
 	}
-	master, err := pipeline.New(pcfg, m, prog.Entry)
-	if err != nil {
+	if u.master, err = pipeline.New(u.pcfg, m, prog.Entry); err != nil {
 		return nil, err
 	}
-	if !cfg.NoDecodeCache {
-		// Decode the code image once; every clone shares the cache
-		// read-only (Clone/ResetFrom propagate the pointer).
-		master.SetDecodeCache(isa.NewDecodeCache(prog.CodeBase, prog.Code))
-	}
-	master.State().SetLegacyHash(cfg.LegacyHash)
+	// Decode the code image once; every clone shares the cache read-only
+	// (Clone/ResetFrom propagate the pointer).
+	u.master.SetDecodeCache(isa.NewDecodeCache(prog.CodeBase, prog.Code))
 	// Per-stage counters and occupancy histograms track the master (warm-up
 	// walk + golden recording); per-trial clones never inherit the
 	// attachment (Clone/ResetFrom drop it).
-	master.AttachObs(cfg.Obs, "pipeline")
-	wall := cfg.Obs.Timer("campaign_uarch_wall").Start()
+	u.master.AttachObs(cfg.Obs, "pipeline")
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x0A12C4))
 
-	// Injection points as cycle offsets past warm-up, visited in order.
-	// Drawn before the warm-up status check so a truncated campaign
-	// consumes the same RNG stream as a full one.
-	offsets := make([]uint64, cfg.Points)
-	for i := range offsets {
-		offsets[i] = uint64(rng.Int63n(int64(cfg.SpreadCycles)))
+	// Injection points, visited in order.
+	u.offsets = make([]uint64, cfg.Points)
+	for i := range u.offsets {
+		u.offsets[i] = uint64(rng.Int63n(int64(cfg.SpreadCycles)))
 	}
-	sort.Slice(offsets, func(i, j int) bool { return offsets[i] < offsets[j] })
+	sort.Slice(u.offsets, func(i, j int) bool { return u.offsets[i] < u.offsets[j] })
 
-	space := master.State()
+	u.space = u.master.State()
 	assign := harden.SchemeAssignments(cfg.Harden)
 	if cfg.Policy != nil {
 		assign = cfg.Policy.Assignments()
 	}
-	protMap, err := harden.NewMapExact(space, assign)
-	if err != nil {
+	if u.protMap, err = harden.NewMapExact(u.space, assign); err != nil {
 		return nil, err
 	}
-	result := &UArchResult{
-		Config:      cfg,
-		TotalBits:   space.TotalBits(false),
-		LatchBits:   space.TotalBits(true),
-		HardenStats: harden.Survey(space, protMap),
-	}
+	result.TotalBits = u.space.TotalBits(false)
+	result.LatchBits = u.space.TotalBits(true)
+	result.HardenStats = harden.Survey(u.space, u.protMap)
 	if cfg.LatchesOnly && result.LatchBits == 0 {
 		return nil, fmt.Errorf("latch-only campaign over %d latch bits: %w",
 			result.LatchBits, ErrNoEligibleBits)
@@ -310,246 +250,96 @@ func RunUArch(cfg UArchConfig) (*UArchResult, error) {
 	// on the state space's fixed geometry, so drawing them up front (and
 	// never handing the rand.Rand to a worker) is what makes the parallel
 	// campaign bit-identical to the serial one.
-	picks := make([]uarchPick, cfg.Points*cfg.TrialsPerPoint)
-	for i := range picks {
-		ref, isLatch, err := pickBit(space, rng, cfg.LatchesOnly)
+	u.picks = make([]uarchPick, cfg.Points*cfg.TrialsPerPoint)
+	for i := range u.picks {
+		ref, isLatch, err := pickBit(u.space, rng, cfg.LatchesOnly)
 		if err != nil {
 			return nil, err
 		}
-		picks[i] = uarchPick{ref: ref, isLatch: isLatch}
+		u.picks[i] = uarchPick{ref: ref, isLatch: isLatch}
 	}
-
-	// Durable campaigns: validate/write the manifest, recover already
-	// journalled slots (decoded straight into their result slots), and
-	// append every newly completed trial. All randomness is pre-drawn
-	// above, so skipping recovered slots cannot perturb the RNG stream.
-	var jr *campaignJournal
-	trials := make([]UArchTrial, len(picks))
-	done := make([]bool, len(picks))
-	if cfg.ResumeFrom != "" {
-		man, err := cfg.manifest(result)
-		if err != nil {
-			return nil, err
-		}
-		var loaded [][]byte
-		jr, loaded, err = openCampaignJournal(cfg.ResumeFrom, man, cfg.CompressJournal)
-		if err != nil {
-			return nil, err
-		}
-		for slot, p := range loaded {
-			if p == nil {
-				continue
-			}
-			if err := json.Unmarshal(p, &trials[slot]); err != nil {
-				jr.finish(nil, "")
-				return nil, fmt.Errorf("inject: %s: %w: slot %d: %v",
-					cfg.ResumeFrom, campaignio.ErrCorrupt, slot, err)
-			}
-			done[slot] = true
-		}
-	}
-	owns := func(slot int) bool { return ownsSlot(slot, cfg.ShardIndex, cfg.ShardCount) }
-	// pointLoaded reports whether EVERY slot of a point was recovered from
-	// the journal — only then is golden recording skippable (see journal.go
-	// on why ownership alone is not enough: truncation detection must stay
-	// identical across shards).
-	pointLoaded := func(pi int) bool {
-		for t := 0; t < cfg.TrialsPerPoint; t++ {
-			if !done[pi*cfg.TrialsPerPoint+t] {
-				return false
-			}
-		}
-		return true
-	}
-	// totalTrials sizes the progress meter to the slots this run is
-	// responsible for: owned slots, whether recovered or re-run.
-	totalTrials := 0
-	for slot := range picks {
-		if owns(slot) {
-			totalTrials++
-		}
-	}
-
-	// Warm up the master — or restore the warm-up boundary from a golden
-	// image. The image captures bit-identical state, so both paths produce
-	// byte-identical campaigns (TestUArchGoldenImageEquivalence).
-	loaded, err := loadUArchGolden(&cfg, pcfg, master)
-	if err != nil {
-		jr.finish(nil, "")
-		return nil, err
-	}
-	if !loaded {
-		master.RunCycles(cfg.WarmupCycles)
-		if err := saveUArchGolden(&cfg, pcfg, master); err != nil {
-			jr.finish(nil, "")
-			return nil, err
-		}
-	}
-	if master.Status() != pipeline.StatusRunning {
-		// The program ended inside warm-up: nothing to inject into.
-		result.Trials = []UArchTrial{}
-		recordUArchTelemetry(cfg.Obs, result, true, wall.Stop())
-		if err := jr.finish(cfg.Obs, "campaign_uarch"); err != nil {
-			return nil, err
-		}
-		return result, nil
-	}
-
-	eng := newEngine(cfg.Workers, cfg.Obs, "campaign_uarch")
-	pool := clonePool{
+	u.pool = &clonePool{
 		hits:   cfg.Obs.Counter("campaign_uarch_clone_pool_hits_total"),
 		misses: cfg.Obs.Counter("campaign_uarch_clone_pool_misses_total"),
 	}
-	pointsRun := 0
-	stopped := false
-
-	base := cfg.WarmupCycles
-	for pi, off := range offsets {
-		if interrupted(cfg.Interrupt) {
-			stopped = true
-			break
-		}
-		target := cfg.WarmupCycles + off
-		if target > base {
-			master.RunCycles(target - base)
-			base = target
-		}
-		if master.Status() != pipeline.StatusRunning {
-			break // program ended mid-spread: truncate remaining points
-		}
-
-		// A point whose every slot was recovered needs no golden trace
-		// and no trials; the master walks on to the next point.
-		if pointLoaded(pi) {
-			for t := 0; t < cfg.TrialsPerPoint; t++ {
-				if owns(pi*cfg.TrialsPerPoint + t) {
-					eng.done(cfg.Progress, totalTrials)
-				}
-			}
-			pointsRun = pi + 1
-			continue
-		}
-
-		// Golden-trace recording stays on the dispatching goroutine;
-		// the master cannot be shared with in-flight trials.
-		trace, err := recordGolden(master, cfg.WindowCycles)
-		if err != nil {
-			eng.wait()
-			jr.finish(cfg.Obs, "campaign_uarch")
-			return nil, err
-		}
-		if trace == nil {
-			break // golden continuation ended inside the window: truncate
-		}
-
-		for t := 0; t < cfg.TrialsPerPoint; t++ {
-			slot := pi*cfg.TrialsPerPoint + t
-			if !owns(slot) {
-				continue // another shard's slot
-			}
-			if done[slot] {
-				eng.done(cfg.Progress, totalTrials)
-				continue // recovered from the journal
-			}
-			if interrupted(cfg.Interrupt) {
-				stopped = true
-				break
-			}
-			pick := picks[slot]
-			elem := space.Elements()[pick.ref.Elem]
-
-			trial := UArchTrial{
-				PointCycle:  master.Cycles(),
-				Elem:        elem.Name,
-				Bit:         pick.ref.Bit,
-				IsLatch:     pick.isLatch,
-				DeadlockLat: Never,
-				ExcLat:      Never,
-				CFVLat:      Never,
-				HCMispLat:   Never,
-				AnyMispLat:  Never,
-				DivergeLat:  Never,
-			}
-
-			if consultProtection(protMap, pick.ref.Elem) != harden.Unprotected {
-				// Parity detects the flip on read (recovered by
-				// flush); ECC corrects it. Either way it cannot
-				// cause failure.
-				trial.Protected = true
-				trials[slot] = trial
-				jr.record(slot, &trials[slot])
-				eng.done(cfg.Progress, totalTrials)
-				continue
-			}
-
-			// Clone (or pool-reset) on the dispatching goroutine,
-			// while the master still sits at this point.
-			faulty := pool.acquire(master)
-			ref := pick.ref
-			eng.submit(func() {
-				runUArchTrial(faulty, ref, cfg.BurstBits, trace, cfg.WindowCycles, &trial, cfg.NoEarlyExit)
-				trials[slot] = trial
-				jr.record(slot, &trials[slot])
-				pool.release(faulty)
-				eng.done(cfg.Progress, totalTrials)
-			})
-		}
-		if stopped {
-			break
-		}
-		pointsRun = pi + 1
-	}
-	eng.wait()
-	if stopped {
-		// Drained workers have journalled their trials; flush the tail so
-		// a resumed run recovers every completed slot.
-		cfg.Obs.Counter("campaign_uarch_interrupted_total").Inc()
-		if err := jr.finish(cfg.Obs, "campaign_uarch"); err != nil {
-			return nil, err
-		}
-		return nil, ErrInterrupted
-	}
-	result.Trials = trials[:pointsRun*cfg.TrialsPerPoint]
-	recordUArchTelemetry(cfg.Obs, result, pointsRun < cfg.Points, wall.Stop())
-	if err := jr.finish(cfg.Obs, "campaign_uarch"); err != nil {
+	// The golden image captures bit-identical state, so a restored and a
+	// simulated warm-up give byte-identical campaigns
+	// (TestUArchGoldenImageEquivalence).
+	if err := warmUp(&cfg.RunOptions, "campaign_uarch", u); err != nil {
 		return nil, err
 	}
-	return result, nil
+	return u, nil
 }
 
-// manifest builds the durable-campaign manifest for this configuration.
-// result supplies the geometry aggregates (Aux) that a merge reconstructs
-// without building a pipeline. The receiver must already have defaults
-// applied.
-func (c UArchConfig) manifest(result *UArchResult) (campaignio.Manifest, error) {
-	aux, err := json.Marshal(uarchAux{
-		TotalBits: result.TotalBits,
-		LatchBits: result.LatchBits,
-		HardenStats: hardenStatsJSON{
-			TotalBits:    result.HardenStats.TotalBits,
-			ECCBits:      result.HardenStats.ECCBits,
-			ParityBits:   result.HardenStats.ParityBits,
-			OverheadBits: result.HardenStats.OverheadBits,
-		},
+// manifest carries the geometry aggregates (Aux) that a merge reconstructs
+// without building a pipeline.
+func (u *uarchCampaign) manifest() (campaignio.Manifest, error) {
+	man := u.cfg.manifest()
+	var err error
+	man.Aux, err = json.Marshal(uarchAux{
+		TotalBits:   u.result.TotalBits,
+		LatchBits:   u.result.LatchBits,
+		HardenStats: hardenStatsJSON(u.result.HardenStats),
 	})
-	if err != nil {
-		return campaignio.Manifest{}, err
+	return man, err
+}
+
+func (u *uarchCampaign) points() int      { return u.cfg.Points }
+func (u *uarchCampaign) slots(pi int) int { return u.cfg.TrialsPerPoint }
+
+// advance runs the master to point pi; a master that stopped (the program
+// ended inside warm-up or the spread) truncates the campaign.
+func (u *uarchCampaign) advance(pi int) (bool, error) {
+	if target := u.cfg.WarmupCycles + u.offsets[pi]; target > u.base {
+		u.master.RunCycles(target - u.base)
+		u.base = target
 	}
-	shards := c.ShardCount
-	if shards == 0 {
-		shards = 1
+	return u.master.Status() == pipeline.StatusRunning, nil
+}
+
+func (u *uarchCampaign) golden() (bool, error) {
+	var err error
+	u.trace, err = recordGolden(u.master, u.cfg.WindowCycles)
+	return u.trace != nil, err
+}
+
+func (u *uarchCampaign) trial(slot int) (UArchTrial, func() UArchTrial) {
+	pick := u.picks[slot]
+	trial := UArchTrial{
+		PointCycle:  u.master.Cycles(),
+		Elem:        u.space.Elements()[pick.ref.Elem].Name,
+		Bit:         pick.ref.Bit,
+		IsLatch:     pick.isLatch,
+		DeadlockLat: Never,
+		ExcLat:      Never,
+		CFVLat:      Never,
+		HCMispLat:   Never,
+		AnyMispLat:  Never,
+		DivergeLat:  Never,
 	}
-	return campaignio.Manifest{
-		Version:    campaignio.FormatVersion,
-		Kind:       "uarch",
-		ConfigHash: fingerprint(c.planString()),
-		Seed:       c.Seed,
-		Bench:      string(c.Bench),
-		Slots:      c.Points * c.TrialsPerPoint,
-		ShardIndex: c.ShardIndex,
-		ShardCount: shards,
-		Aux:        aux,
-	}, nil
+	if consultProtection(u.protMap, pick.ref.Elem) != harden.Unprotected {
+		// Parity detects the flip on read (recovered by flush); ECC
+		// corrects it. Either way it cannot cause failure.
+		trial.Protected = true
+		return trial, nil
+	}
+	// Clone (or pool-reset) on the dispatching goroutine, while the master
+	// still sits at this point.
+	faulty, trace := u.pool.acquire(u.master), u.trace
+	burst, window := u.cfg.BurstBits, u.cfg.WindowCycles
+	return trial, func() UArchTrial {
+		runUArchTrial(faulty, pick.ref, burst, trace, window, &trial)
+		u.pool.release(faulty)
+		return trial
+	}
+}
+
+func (u *uarchCampaign) settle() {}
+
+// category classifies a trial at the observation window under the perfect
+// detector — the raw upset taxonomy, before any checkpoint-interval policy.
+func (u *uarchCampaign) category(t UArchTrial) string {
+	return t.CategoryAt(u.cfg.WindowCycles, DetectorPerfect).String()
 }
 
 // pickBitAttempts bounds the rejection sampler. Latches are the majority of
@@ -623,10 +413,9 @@ func recordGolden(master *pipeline.Pipeline, window uint64) (*goldenTrace, error
 
 // runUArchTrial flips the bit and monitors the clone against the golden
 // trace. The trial stops as soon as its classification is decided — a
-// terminal pipeline status or a masked reconvergence — unless noEarlyExit
-// asks for the proof mode, which freezes the decision (trialDecision), runs
-// the window out, and returns the frozen record.
-func runUArchTrial(f *pipeline.Pipeline, ref pipeline.BitRef, burst int, trace *goldenTrace, window uint64, trial *UArchTrial, noEarlyExit bool) {
+// terminal pipeline status or a masked reconvergence — because no further
+// simulation can change a decided outcome.
+func runUArchTrial(f *pipeline.Pipeline, ref pipeline.BitRef, burst int, trace *goldenTrace, window uint64, trial *UArchTrial) {
 	const hashEvery = 16
 
 	// Flip a run of adjacent bits within the element (single-bit unless
@@ -785,64 +574,36 @@ func runUArchTrial(f *pipeline.Pipeline, ref pipeline.BitRef, burst int, trace *
 		}
 	}
 
-	var dec trialDecision
 	for c := uint64(1); c <= window; c++ {
 		f.Step()
 		switch f.Status() {
 		case pipeline.StatusExcepted:
-			if !dec.decided {
-				kind, _, _ := f.Exception()
-				trial.ExcLat = latency()
-				trial.ExcKind = kind
-				dec.decide(trial)
-			}
-			if !noEarlyExit {
-				return
-			}
+			kind, _, _ := f.Exception()
+			trial.ExcLat = latency()
+			trial.ExcKind = kind
+			return
 		case pipeline.StatusDeadlocked:
-			if !dec.decided {
-				trial.DeadlockLat = latency()
-				dec.decide(trial)
-			}
-			if !noEarlyExit {
-				return
-			}
+			trial.DeadlockLat = latency()
+			return
 		case pipeline.StatusHalted:
 			// Synthetic workloads never halt; a committed HALT means
 			// corrupted control flow reached a halt encoding.
-			if !dec.decided {
-				if trial.CFVLat == Never {
-					trial.CFVLat = latency()
-				}
-				trial.EverDiverged = true
-				dec.decide(trial)
+			if trial.CFVLat == Never {
+				trial.CFVLat = latency()
 			}
-			if !noEarlyExit {
-				return
-			}
+			trial.EverDiverged = true
+			return
 		}
 		if c%hashEvery == 0 && !cfv && divergedN == 0 && len(divergedMem) == 0 {
 			if gc, ok := trace.hashAt[f.State().Hash()]; ok && gc <= c {
 				// Microarchitectural state matches the golden run
 				// (possibly lagged): the fault is gone.
-				if !dec.decided {
-					trial.Masked = true
-					dec.decide(trial)
-				}
-				if !noEarlyExit {
-					return
-				}
+				trial.Masked = true
+				return
 			}
 		}
 	}
 
-	if dec.decided {
-		// NoEarlyExit ran the window out past the decision; the frozen
-		// classification is the result, and final classification is
-		// skipped exactly as the early-exit returns skip it.
-		*trial = dec.frozen
-		return
-	}
 	trial.ArchCorrupt = cfv || divergedN > 0 || len(divergedMem) > 0
 	// The fault is "stuck" when the flipped bit still holds its post-flip
 	// value and nothing architectural ever diverged: it sits unread in

@@ -1,7 +1,6 @@
 package inject
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -46,20 +45,6 @@ type VMConfig struct {
 	// Section 3.1 sensitivity study of virtual-address-space size.
 	Low32 bool
 
-	// NoDecodeCache disables the shared pre-decoded instruction cache
-	// built once per campaign from the workload's code image. The cache
-	// verifies every fetched word before hitting, so it is inert: results
-	// are byte-identical either way (the equivalence tests prove it), and
-	// the toggle is excluded from the durable-campaign plan string.
-	NoDecodeCache bool
-
-	// NoEarlyExit keeps every trial replaying its full golden window even
-	// after the faulty machine has halted behind a control-flow
-	// divergence, where every remaining step is a stopped no-op. Inert by
-	// construction and excluded from the plan string; exists to prove the
-	// early exit sound.
-	NoEarlyExit bool
-
 	// Policy, if non-nil, applies a protection policy (internal/protect)
 	// at this campaign's architectural fault model: the flipped result bit
 	// lives in the physical register file, so a policy covering "prf.val"
@@ -69,58 +54,9 @@ type VMConfig struct {
 	// policy fingerprint enters the durable-campaign plan string.
 	Policy *protect.Policy
 
-	// Workers is the number of goroutines trials fan out across; 0 (or 1)
-	// runs the campaign serially on the calling goroutine. Results are
-	// bit-identical for every worker count: all random bit picks are
-	// pre-drawn serially and each trial writes a pre-assigned result slot.
-	Workers int
-
-	// Progress, if set, is called after each completed trial with the
-	// running and total trial counts. With Workers > 1 it is invoked from
-	// worker goroutines and must be safe for concurrent use. It must not
-	// influence campaign state.
-	Progress func(done, total int)
-
-	// Obs, if non-nil, receives campaign telemetry (trial/outcome counts,
-	// throughput, pool and queue accounting) under the campaign_vm_*
-	// namespace. Purely observational: results are byte-identical with or
-	// without a sink.
-	Obs obs.Sink
-
-	// ResumeFrom, if non-empty, makes the campaign durable: a manifest and
-	// an append-only checksummed trial journal live in this directory
-	// (internal/campaignio). Journalled slots are recovered instead of
-	// re-run; results are byte-identical to a one-shot run.
-	ResumeFrom string
-
-	// ShardIndex/ShardCount partition the trial plan across processes:
-	// shard i of n runs the slots s with s%n == i, journalling into its
-	// own ResumeFrom directory; MergeVM reassembles the full result. Zero
-	// ShardCount means unsharded. Sharding requires ResumeFrom.
-	ShardIndex int
-	ShardCount int
-
-	// GoldenImage, if non-empty, is the path of a warmed-state golden
-	// image (internal/ckptio). When the file exists the campaign loads it
-	// instead of walking the golden simulator to the Warmup boundary; when
-	// it does not, the campaign walks there normally and saves the image
-	// for the next run. The image records the configuration that produced
-	// it; a mismatch is an error. Results are byte-identical with or
-	// without an image, so the field is excluded from the durable-campaign
-	// plan string.
-	GoldenImage string
-
-	// CompressJournal selects the compressed-segment journal encoding
-	// (campaignio format RSTJRNL2) for newly created durable journals.
-	// Existing journals keep their own format on resume, scans read both,
-	// and merged output is identical either way, so the toggle is inert
-	// and excluded from the plan string.
-	CompressJournal bool
-
-	// Interrupt, if non-nil, stops the campaign cleanly when it becomes
-	// readable: in-flight trials drain, the journal tail is flushed, and
-	// RunVM returns ErrInterrupted.
-	Interrupt <-chan struct{}
+	// RunOptions hold the run-time settings: workers, progress,
+	// telemetry, interruption and durability.
+	RunOptions
 }
 
 func (c *VMConfig) applyDefaults() {
@@ -147,25 +83,6 @@ func (c *VMConfig) applyDefaults() {
 	}
 	if c.ShardCount == 0 {
 		c.ShardCount = 1
-	}
-}
-
-// manifest builds the durable-campaign manifest for this configuration. The
-// receiver must already have defaults applied.
-func (c VMConfig) manifest() campaignio.Manifest {
-	shards := c.ShardCount
-	if shards == 0 {
-		shards = 1
-	}
-	return campaignio.Manifest{
-		Version:    campaignio.FormatVersion,
-		Kind:       "vm",
-		ConfigHash: fingerprint(c.planString()),
-		Seed:       c.Seed,
-		Bench:      string(c.Bench),
-		Slots:      c.Trials,
-		ShardIndex: c.ShardIndex,
-		ShardCount: shards,
 	}
 }
 
@@ -197,18 +114,19 @@ func (r *VMResult) Distribution(latency uint64) map[string]float64 {
 	return VMDistribution(r.Trials, latency).Fraction
 }
 
-// RunVM executes the campaign. Two golden simulators walk the program once
-// each. The trailing simulator stops at every injection point, executes the
-// injection instruction and hands each trial its post-injection state —
-// rewound in place serially, forked per trial when cfg.Workers fans trials
-// out. The lead simulator runs ahead on its own copy of memory and records
-// the golden run into one campaign-wide trace (see vmGoldenTrace), so each
-// point's observation window is a slice of that trace rather than a
-// re-simulation. Each trial replays the continuation with one result bit
-// flipped and compares it against its window instruction by instruction.
-// Results are bit-identical for every worker count: every bit pick is
-// pre-drawn on the dispatching goroutine and every trial fills a
-// pre-assigned result slot.
+// RunVM executes the campaign (see runCampaign). Two golden simulators walk
+// the program once each. The trailing simulator stops at every injection
+// point, executes the injection instruction and hands each trial its
+// post-injection state — rewound in place serially, forked per trial when
+// cfg.Workers fans trials out. The lead simulator runs ahead on its own copy
+// of memory and records the golden run into one campaign-wide trace (see
+// vmGoldenTrace), so each point's observation window is a slice of that
+// trace rather than a re-simulation. Each trial replays the continuation
+// with one result bit flipped and compares it against its window
+// instruction by instruction, stopping once a halted faulty machine can no
+// longer change its outcome. Results are bit-identical for every worker
+// count: every bit pick is pre-drawn on the dispatching goroutine and every
+// trial fills a pre-assigned result slot.
 //
 // If the golden program halts before an injection point or inside a golden
 // observation window (a short workload at small Scale), the remaining
@@ -222,9 +140,6 @@ func (r *VMResult) Distribution(latency uint64) map[string]float64 {
 // ErrInterrupted.
 func RunVM(cfg VMConfig) (*VMResult, error) {
 	cfg.applyDefaults()
-	if err := validateSharding(cfg.ResumeFrom, cfg.ShardIndex, cfg.ShardCount); err != nil {
-		return nil, err
-	}
 	prog, err := workload.Generate(cfg.Bench, workload.Config{Seed: cfg.Seed, Scale: cfg.Scale})
 	if err != nil {
 		return nil, err
@@ -232,53 +147,94 @@ func RunVM(cfg VMConfig) (*VMResult, error) {
 	return runVM(cfg, prog)
 }
 
-// runVM runs the campaign of a defaulted, validated cfg over prog.
+// runVM runs the campaign of a defaulted cfg over prog.
 func runVM(cfg VMConfig, prog *workload.Program) (*VMResult, error) {
+	trials, err := runCampaign(&cfg.RunOptions, "campaign_vm", func() (campaign[VMTrial], error) {
+		return newVMCampaign(&cfg, prog)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &VMResult{Config: cfg, Trials: trials}, nil
+}
+
+// vmCampaign is the software-level engine's side of runCampaign.
+type vmCampaign struct {
+	cfg      *VMConfig
+	entry    uint64
+	m        *mem.Memory // the trailing simulator's memory, journalled
+	sim      *arch.Sim   // the trailing simulator
+	dcache   *isa.DecodeCache
+	at       []uint64 // sorted injection instruction indices
+	bits     []uint8  // one per slot
+	perPoint int      // trials per point; the first extra points hold one more
+	extra    int
+	// prfProtected: this campaign's fault model corrupts one register-file
+	// value, so a policy covering the PRF absorbs every trial at the
+	// injection site.
+	prfProtected bool
+	parallel     bool
+	trace        *vmGoldenTrace
+	// memPool recycles per-trial memory images for the parallel engine;
+	// the counters (nil without a sink) expose its recycling rate. It is
+	// held by pointer: a used sync.Pool stays registered with the runtime
+	// until two GCs pass, and a pool embedded here would keep the whole
+	// campaign — memories, simulators, golden trace — alive with it.
+	memPool              *sync.Pool
+	poolHits, poolMisses *obs.Counter
+
+	// The current point: the injection instruction, the state right
+	// after it, and the golden window that follows.
+	injDest   isa.Reg
+	injPC     uint64
+	preRegs   arch.Snapshot
+	preMark   mem.Mark
+	window    []goldenRec
+	goldenEnd arch.Snapshot
+}
+
+// newVMCampaign walks the trailing simulator to the warm-up boundary (or
+// restores it from a golden image), draws every injection point and bit
+// pick, and starts the lead simulator there.
+func newVMCampaign(cfg *VMConfig, prog *workload.Program) (*vmCampaign, error) {
 	m, err := prog.NewMemory()
 	if err != nil {
 		return nil, err
 	}
 	m.EnableJournal()
-	sim := arch.New(m, prog.Entry)
-	var dcache *isa.DecodeCache
-	if !cfg.NoDecodeCache {
+	v := &vmCampaign{
+		cfg:   cfg,
+		entry: prog.Entry,
+		m:     m,
+		sim:   arch.New(m, prog.Entry),
 		// Decode the code image once; the golden simulators and every
 		// per-trial fork share the cache read-only.
-		dcache = isa.NewDecodeCache(prog.CodeBase, prog.Code)
+		dcache:     isa.NewDecodeCache(prog.CodeBase, prog.Code),
+		parallel:   cfg.Workers > 1,
+		memPool:    new(sync.Pool),
+		poolHits:   cfg.Obs.Counter("campaign_vm_mem_pool_hits_total"),
+		poolMisses: cfg.Obs.Counter("campaign_vm_mem_pool_misses_total"),
+		// Evaluated once, against the policy itself — campaign code never
+		// reads a compiled protection map directly (see consultProtection).
+		prfProtected: cfg.Policy.ProtectionOf("prf.val") != harden.Unprotected,
 	}
-	sim.DCache = dcache
-	// Walk the golden simulator to the warm-up boundary — or restore that
-	// boundary from a golden image. Injection points all lie at or past
-	// cfg.Warmup, so pre-walking here replays exactly the Steps the points
-	// loop below would have taken; journal records written before the first
-	// point's snapshot mark are never rewound, only discarded, so both paths
-	// are byte-identical (TestVMGoldenImageEquivalence). The walk consumes
-	// no randomness, so the RNG stream is untouched either way.
-	goldenLoaded, err := loadVMGoldenIfPresent(&cfg, sim, m)
-	if err != nil {
+	v.sim.DCache = v.dcache
+	// The walk consumes no randomness, so the RNG stream is untouched
+	// whether it runs or an image replaces it.
+	if err := warmUp(&cfg.RunOptions, "campaign_vm", v); err != nil {
 		return nil, err
-	}
-	if !goldenLoaded {
-		for sim.InstRet < cfg.Warmup && !sim.Stopped() {
-			sim.Step()
-		}
-		if err := saveVMGolden(&cfg, sim, m); err != nil {
-			return nil, err
-		}
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5EED))
 
 	// Injection points: sorted instruction indices. Points must land on
-	// register-writing instructions; the walker skips forward to the
-	// next one.
-	points := make([]uint64, cfg.Points)
-	for i := range points {
-		points[i] = cfg.Warmup + uint64(rng.Int63n(int64(cfg.Spread)))
+	// register-writing instructions; advance skips forward to the next one.
+	v.at = make([]uint64, cfg.Points)
+	for i := range v.at {
+		v.at[i] = cfg.Warmup + uint64(rng.Int63n(int64(cfg.Spread)))
 	}
-	sort.Slice(points, func(i, j int) bool { return points[i] < points[j] })
-
-	trialsPerPoint := cfg.Trials / len(points)
-	extra := cfg.Trials - trialsPerPoint*len(points)
+	sort.Slice(v.at, func(i, j int) bool { return v.at[i] < v.at[j] })
+	v.perPoint = cfg.Trials / len(v.at)
+	v.extra = cfg.Trials - v.perPoint*len(v.at)
 
 	// Pre-draw every trial's bit position serially, in exactly the order
 	// the serial engine consumes the stream, so the parallel campaign is
@@ -287,236 +243,124 @@ func runVM(cfg VMConfig, prog *workload.Program) (*VMResult, error) {
 	if cfg.Low32 {
 		maxBit = 32
 	}
-	bits := make([]uint8, cfg.Trials)
-	for i := range bits {
-		bits[i] = uint8(rng.Intn(maxBit))
+	v.bits = make([]uint8, cfg.Trials)
+	for i := range v.bits {
+		v.bits[i] = uint8(rng.Intn(maxBit))
 	}
 
-	result := &VMResult{Config: cfg}
-	// This campaign's fault model corrupts one register-file value, so a
-	// policy covering the PRF absorbs every trial at the injection site.
-	// Evaluated once, against the policy itself — campaign code never reads
-	// a compiled protection map directly (see consultProtection).
-	prfProtected := cfg.Policy.ProtectionOf("prf.val") != harden.Unprotected
-	wall := cfg.Obs.Timer("campaign_vm_wall").Start()
-	eng := newEngine(cfg.Workers, cfg.Obs, "campaign_vm")
-	parallel := cfg.Workers > 1
-	trials := make([]VMTrial, cfg.Trials)
-
-	// Durable campaigns: recover journalled slots into their result slots
-	// up front; every bit pick is pre-drawn above, so skipping them cannot
-	// perturb the RNG stream.
-	var jr *campaignJournal
-	doneSlots := make([]bool, cfg.Trials)
-	if cfg.ResumeFrom != "" {
-		var loaded [][]byte
-		jr, loaded, err = openCampaignJournal(cfg.ResumeFrom, cfg.manifest(), cfg.CompressJournal)
-		if err != nil {
-			return nil, err
-		}
-		for slot, p := range loaded {
-			if p == nil {
-				continue
-			}
-			if err := json.Unmarshal(p, &trials[slot]); err != nil {
-				jr.finish(nil, "")
-				return nil, fmt.Errorf("inject: %s: %w: slot %d: %v",
-					cfg.ResumeFrom, campaignio.ErrCorrupt, slot, err)
-			}
-			doneSlots[slot] = true
-		}
-	}
-	owns := func(slot int) bool { return ownsSlot(slot, cfg.ShardIndex, cfg.ShardCount) }
-	totalTrials := 0
-	for slot := 0; slot < cfg.Trials; slot++ {
-		if owns(slot) {
-			totalTrials++
-		}
-	}
 	// The lead simulator records the golden run from the warm-up boundary
 	// onward on its own copy of memory; workers keep reading windows of the
 	// trace while the dispatcher extends it, hence shared under parallel.
 	lead := arch.New(m.Clone(), prog.Entry)
-	lead.DCache = dcache
-	lead.Restore(sim.Snapshot())
-	golden := newVMGoldenTrace(lead, cfg.Window, parallel)
-	// memPool recycles per-trial memory images for the parallel engine; the
-	// counters (nil without a sink) expose its recycling rate.
-	var memPool sync.Pool
-	poolHits := cfg.Obs.Counter("campaign_vm_mem_pool_hits_total")
-	poolMisses := cfg.Obs.Counter("campaign_vm_mem_pool_misses_total")
-
-	filled := 0
-	truncated := false
-	stopped := false
-	for pi, point := range points {
-		if interrupted(cfg.Interrupt) {
-			stopped = true
-			break
-		}
-		// Advance the trailing simulator to the injection point.
-		for sim.InstRet < point && !sim.Stopped() {
-			sim.Step()
-		}
-		if sim.Excepted {
-			eng.wait()
-			jr.finish(cfg.Obs, "campaign_vm")
-			return nil, fmt.Errorf("inject: golden run excepted at %d: %v", sim.InstRet, sim.LastException)
-		}
-		if sim.Halted {
-			break // program over before this point: truncate
-		}
-		// Find the next register-writing instruction and execute it;
-		// its event carries the result to corrupt. The program may halt
-		// first (short workloads), which also truncates the campaign.
-		var injEv arch.Event
-		for {
-			injEv = sim.Step()
-			if injEv.Exception != arch.ExcNone {
-				eng.wait()
-				jr.finish(cfg.Obs, "campaign_vm")
-				return nil, fmt.Errorf("inject: golden exception at %#x", injEv.PC)
-			}
-			if injEv.Halted {
-				truncated = true
-				break
-			}
-			if injEv.DestValid && injEv.Dest != isa.RegZero {
-				break
-			}
-		}
-		if truncated {
-			break
-		}
-
-		n := trialsPerPoint
-		if pi < extra {
-			n++
-		}
-
-		// A point whose every slot was recovered from the journal needs
-		// no golden window and no trials. Executing the injection
-		// instruction above already left memory, simulator and write
-		// journal exactly where the full path's final rewind leaves them.
-		// Ownership alone is NOT enough to skip: taking the window is what
-		// detects workload truncation, and that detection must stay
-		// identical across shards (see journal.go).
-		pointDone := true
-		for t := 0; t < n; t++ {
-			if !doneSlots[filled+t] {
-				pointDone = false
-				break
-			}
-		}
-		if pointDone {
-			for t := 0; t < n; t++ {
-				if owns(filled + t) {
-					eng.done(cfg.Progress, totalTrials)
-				}
-			}
-			filled += n
-			continue
-		}
-
-		// The golden continuation: the window of the campaign trace that
-		// starts right after the injection instruction.
-		window, goldenEnd, err := golden.window(sim.InstRet)
-		if err != nil {
-			eng.wait()
-			jr.finish(cfg.Obs, "campaign_vm")
-			return nil, err
-		}
-		if window == nil {
-			break // window incomplete: truncate at this point
-		}
-
-		preRegs := sim.Snapshot()
-		preMark := m.Snapshot()
-		injDest, injPC := injEv.Dest, injEv.PC
-		for t := 0; t < n; t++ {
-			slot := filled + t
-			if !owns(slot) {
-				continue // another shard's slot
-			}
-			if doneSlots[slot] {
-				eng.done(cfg.Progress, totalTrials)
-				continue // recovered from the journal
-			}
-			if interrupted(cfg.Interrupt) {
-				stopped = true
-				break
-			}
-			bit := bits[slot]
-			if prfProtected {
-				trials[slot] = protectedVMTrial(injPC, bit)
-				jr.record(slot, &trials[slot])
-				eng.done(cfg.Progress, totalTrials)
-				continue
-			}
-			// The serial engine rewinds the trailing simulator in place;
-			// the parallel engine forks an independent memory image and
-			// simulator per trial on the dispatcher (the pool resets a
-			// retired image via Memory.CopyFrom) while workers run behind.
-			tsim := sim
-			var fm *mem.Memory
-			if parallel {
-				if v := memPool.Get(); v != nil {
-					poolHits.Inc()
-					fm = v.(*mem.Memory)
-					fm.CopyFrom(m)
-				} else {
-					poolMisses.Inc()
-					fm = m.Clone()
-				}
-				tsim = arch.New(fm, prog.Entry)
-				tsim.DCache = dcache
-			} else {
-				m.RestoreTo(preMark)
-			}
-			tsim.Restore(preRegs)
-			tsim.SetReg(injDest, tsim.Reg(injDest)^(1<<bit))
-			eng.submit(func() {
-				trial := runVMTrial(tsim, injDest, window, goldenEnd, cfg.NoEarlyExit)
-				trial.Point = injPC
-				trial.Bit = bit
-				trials[slot] = trial
-				jr.record(slot, &trials[slot])
-				if fm != nil {
-					memPool.Put(fm)
-				}
-				eng.done(cfg.Progress, totalTrials)
-			})
-		}
-		if stopped {
-			break
-		}
-
-		// Rewind to the injection point and make the golden path up to it
-		// permanent so the walk to the next point starts clean.
-		m.RestoreTo(preMark)
-		sim.Restore(preRegs)
-		m.DiscardTo(0)
-		filled += n
-	}
-	eng.wait()
-	if stopped {
-		// Drained workers have journalled their trials; flush the tail so
-		// a resumed run recovers every completed slot.
-		cfg.Obs.Counter("campaign_vm_interrupted_total").Inc()
-		if err := jr.finish(cfg.Obs, "campaign_vm"); err != nil {
-			return nil, err
-		}
-		return nil, ErrInterrupted
-	}
-	result.Trials = trials[:filled]
-	// filled < Trials covers both truncation paths (halt before a point and
-	// halt inside a window).
-	recordVMTelemetry(cfg.Obs, result, filled < cfg.Trials, wall.Stop())
-	if err := jr.finish(cfg.Obs, "campaign_vm"); err != nil {
-		return nil, err
-	}
-	return result, nil
+	lead.DCache = v.dcache
+	lead.Restore(v.sim.Snapshot())
+	v.trace = newVMGoldenTrace(lead, cfg.Window, v.parallel)
+	return v, nil
 }
+
+func (v *vmCampaign) manifest() (campaignio.Manifest, error) { return v.cfg.manifest(), nil }
+func (v *vmCampaign) points() int                            { return len(v.at) }
+
+func (v *vmCampaign) slots(pi int) int {
+	if pi < v.extra {
+		return v.perPoint + 1
+	}
+	return v.perPoint
+}
+
+// advance walks the trailing simulator to point pi, then finds the next
+// register-writing instruction and executes it; its result is what the
+// point's trials corrupt. The program may halt first (short workloads),
+// which truncates the campaign.
+func (v *vmCampaign) advance(pi int) (bool, error) {
+	sim := v.sim
+	for sim.InstRet < v.at[pi] && !sim.Stopped() {
+		sim.Step()
+	}
+	if sim.Excepted {
+		return false, fmt.Errorf("inject: golden run excepted at %d: %v", sim.InstRet, sim.LastException)
+	}
+	if sim.Halted {
+		return false, nil
+	}
+	for {
+		ev := sim.Step()
+		switch {
+		case ev.Exception != arch.ExcNone:
+			return false, fmt.Errorf("inject: golden exception at %#x", ev.PC)
+		case ev.Halted:
+			return false, nil
+		case ev.DestValid && ev.Dest != isa.RegZero:
+			v.injDest, v.injPC = ev.Dest, ev.PC
+			return true, nil
+		}
+	}
+}
+
+// golden takes the point's golden continuation: the window of the campaign
+// trace that starts right after the injection instruction.
+func (v *vmCampaign) golden() (bool, error) {
+	var err error
+	v.window, v.goldenEnd, err = v.trace.window(v.sim.InstRet)
+	v.preRegs, v.preMark = v.sim.Snapshot(), v.m.Snapshot()
+	return v.window != nil, err
+}
+
+// trial flips slot's bit in the post-injection state. The serial engine
+// rewinds the trailing simulator in place; the parallel engine forks an
+// independent memory image and simulator per trial (the pool resets a
+// retired image via Memory.CopyFrom) while workers run behind.
+func (v *vmCampaign) trial(slot int) (VMTrial, func() VMTrial) {
+	bit, pc, dest := v.bits[slot], v.injPC, v.injDest
+	if v.prfProtected {
+		// No fault enters the machine, so the trial is masked by
+		// construction, and Protected records why.
+		return VMTrial{
+			Point: pc, Bit: bit, Protected: true, Masked: true,
+			ExcLat: Never, CFVLat: Never, MemAddrLat: Never, MemDataLat: Never,
+		}, nil
+	}
+	tsim := v.sim
+	var fm *mem.Memory
+	if v.parallel {
+		if p := v.memPool.Get(); p != nil {
+			v.poolHits.Inc()
+			fm = p.(*mem.Memory)
+			fm.CopyFrom(v.m)
+		} else {
+			v.poolMisses.Inc()
+			fm = v.m.Clone()
+		}
+		tsim = arch.New(fm, v.entry)
+		tsim.DCache = v.dcache
+	} else {
+		v.m.RestoreTo(v.preMark)
+	}
+	tsim.Restore(v.preRegs)
+	tsim.SetReg(dest, tsim.Reg(dest)^(1<<bit))
+	window, end := v.window, v.goldenEnd
+	return VMTrial{}, func() VMTrial {
+		trial := runVMTrial(tsim, dest, window, end)
+		trial.Point, trial.Bit = pc, bit
+		if fm != nil {
+			v.memPool.Put(fm)
+		}
+		return trial
+	}
+}
+
+// settle rewinds to the injection point and makes the golden path up to it
+// permanent, so the walk to the next point starts clean. A point whose
+// every slot was recovered from the journal skips this: executing its
+// injection instruction already left memory, simulator and write journal
+// where this rewind would.
+func (v *vmCampaign) settle() {
+	v.m.RestoreTo(v.preMark)
+	v.sim.Restore(v.preRegs)
+	v.m.DiscardTo(0)
+}
+
+func (v *vmCampaign) category(t VMTrial) string { return t.CategoryAt(v.cfg.Window).String() }
 
 // goldenRec is one golden instruction as a trial compares against it: the
 // fields runVMTrial reads from the golden run, 32 bytes against the 96 of a
@@ -604,28 +448,11 @@ func (g *vmGoldenTrace) dropBefore(start uint64) {
 	g.buf, g.base = dst, start
 }
 
-// protectedVMTrial is the outcome of a trial absorbed by protection at the
-// injection site: no fault enters the machine, so the trial is masked by
-// construction, and Protected records why.
-func protectedVMTrial(point uint64, bit uint8) VMTrial {
-	return VMTrial{
-		Point:      point,
-		Bit:        bit,
-		Protected:  true,
-		Masked:     true,
-		ExcLat:     Never,
-		CFVLat:     Never,
-		MemAddrLat: Never,
-		MemDataLat: Never,
-	}
-}
-
 // runVMTrial executes the faulty continuation against the recorded golden
 // window and classifies its outcome. Once the faulty machine halts behind a
 // control-flow divergence, every remaining Step is a stopped no-op that can
-// no longer change the classification, so the replay stops early (unless
-// noEarlyExit asks for the full-window proof mode).
-func runVMTrial(sim *arch.Sim, injReg isa.Reg, golden []goldenRec, goldenEnd arch.Snapshot, noEarlyExit bool) VMTrial {
+// no longer change the classification, so the replay stops early.
+func runVMTrial(sim *arch.Sim, injReg isa.Reg, golden []goldenRec, goldenEnd arch.Snapshot) VMTrial {
 	trial := VMTrial{
 		ExcLat:     Never,
 		CFVLat:     Never,
@@ -671,7 +498,7 @@ func runVMTrial(sim *arch.Sim, injReg isa.Reg, golden []goldenRec, goldenEnd arc
 			// machine, though, steps as a stopped no-op forever — the
 			// same event every time, never an exception — so nothing in
 			// the remaining window can change the classification.
-			if ev.Halted && !noEarlyExit {
+			if ev.Halted {
 				break
 			}
 			continue

@@ -76,7 +76,7 @@ func TestVMDigestsSparse(t *testing.T) {
 		cfg := VMConfig{
 			Bench: workload.Gzip, Seed: 3, Scale: 0.5,
 			Trials: 30, Points: 6, Window: 2_000, Spread: 300_000,
-			Workers: workers,
+			RunOptions: RunOptions{Workers: workers},
 		}
 		r, err := RunVM(cfg)
 		if err != nil {
@@ -128,7 +128,7 @@ func finiteVM(workers int) VMConfig {
 	cfg := VMConfig{
 		Seed: 5, Trials: 40, Points: 10,
 		Warmup: 1_000, Spread: 24_000, Window: 4_000,
-		Workers: workers,
+		RunOptions: RunOptions{Workers: workers},
 	}
 	cfg.applyDefaults()
 	return cfg

@@ -57,8 +57,9 @@ func TestZeroTrialUArchAggregates(t *testing.T) {
 // dividing by the empty trial set.
 func TestZeroTrialTelemetry(t *testing.T) {
 	reg := obs.NewRegistry()
-	recordVMTelemetry(reg, &VMResult{}, true, time.Millisecond)
-	recordUArchTelemetry(reg, &UArchResult{}, true, time.Millisecond)
+	ro := &RunOptions{Obs: reg}
+	recordCampaignTelemetry[VMTrial](ro, "campaign_vm", nil, nil, 0, true, time.Millisecond)
+	recordCampaignTelemetry[UArchTrial](ro, "campaign_uarch", nil, nil, 0, true, time.Millisecond)
 	for _, prefix := range []string{"campaign_vm", "campaign_uarch"} {
 		if got := reg.Counter(prefix + "_trials_total").Value(); got != 0 {
 			t.Errorf("%s_trials_total = %d", prefix, got)
