@@ -45,11 +45,14 @@ staticcheck:
 restorelint:
 	$(GO) run ./tools/restorelint
 
-# Short fuzz passes over the assembler and decoder (regression corpus plus
-# 10s of new inputs each).
+# Short fuzz passes over the assembler, the decoder, the campaign journal
+# scanner and the checkpoint-image reader (regression corpus plus 10s of new
+# inputs each).
 fuzz:
 	$(GO) test ./internal/asm -run '^$$' -fuzz FuzzAssemble -fuzztime 10s
 	$(GO) test ./internal/isa -run '^$$' -fuzz FuzzDecode -fuzztime 10s
+	$(GO) test ./internal/campaignio -run '^$$' -fuzz FuzzScanJournal -fuzztime 10s
+	$(GO) test ./internal/ckptio -run '^$$' -fuzz FuzzCkptioOpen -fuzztime 10s
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .

@@ -364,47 +364,25 @@ func (c *cli) runShard(experiment string) error {
 	return experiments.RunShardable(experiment, c.opts)
 }
 
-// mergeRoots combines the campaign directories journalled by sharded runs.
-// Each root is the -out directory of one shard. Every campaign found in one
-// root must exist in all of them, each campaign's shards must together cover
-// every trial slot, and any journal corruption aborts the merge — a damaged
-// shard is resumed, never patched over.
+// mergeRoots combines the campaign directories journalled by sharded runs
+// (campaignio.MergeRoots; each root is the -out directory of one shard) and
+// reports what each merged campaign holds.
 func mergeRoots(outRoot string, roots []string) error {
-	ids, err := campaignio.ListCampaigns(roots[0])
+	ids, err := campaignio.MergeRoots(outRoot, roots)
 	if err != nil {
 		return err
 	}
-	if len(ids) == 0 {
-		return fmt.Errorf("%w: no campaign directories under %s", campaignio.ErrNoCampaign, roots[0])
-	}
-	known := make(map[string]bool, len(ids))
 	for _, id := range ids {
-		known[id] = true
-	}
-	for _, root := range roots[1:] {
-		other, err := campaignio.ListCampaigns(root)
+		dir := filepath.Join(outRoot, id)
+		man, err := campaignio.ReadManifest(dir)
 		if err != nil {
 			return err
 		}
-		for _, id := range other {
-			if !known[id] {
-				return fmt.Errorf("campaign %s exists under %s but not under %s", id, root, roots[0])
-			}
-		}
-	}
-	for _, id := range ids {
-		dirs := make([]string, len(roots))
-		for i, root := range roots {
-			dirs[i] = filepath.Join(root, id)
-		}
-		man, payloads, err := campaignio.MergeScan(dirs)
+		scan, err := campaignio.ScanJournal(dir, man.Slots)
 		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
+			return err
 		}
-		if err := campaignio.WriteMerged(filepath.Join(outRoot, id), man, payloads); err != nil {
-			return fmt.Errorf("%s: %w", id, err)
-		}
-		fmt.Printf("merged %s: %d/%d slots from %d shards\n", id, len(payloads), man.Slots, len(roots))
+		fmt.Printf("merged %s: %d/%d slots from %d shards\n", id, len(scan.Records), man.Slots, len(roots))
 	}
 	fmt.Printf("rerun any merged experiment with -out %s to print its full results\n", outRoot)
 	return nil

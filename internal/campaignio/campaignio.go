@@ -15,7 +15,7 @@
 //
 //	manifest.json   plan identity: format version, campaign kind, config
 //	                hash, seed, benchmark, slot count, shard coordinates.
-//	                Written atomically (tmp + rename + fsync) before the
+//	                Written atomically (durable.WriteFile) before the
 //	                first trial result.
 //	journal.restj   8-byte magic header, then records. Each record is
 //	                slot(uint32 LE) | len(uint32 LE) | payload | crc32(IEEE,
@@ -56,6 +56,8 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+
+	"repro/internal/durable"
 )
 
 // FormatVersion is the current on-disk format version; bumped on any
@@ -183,37 +185,15 @@ func (m Manifest) Resumable(o Manifest) error {
 	return nil
 }
 
-// WriteManifest writes the manifest into dir atomically: the bytes land in a
-// temp file, are fsync'd, and are renamed over ManifestName so a crash never
-// leaves a partial manifest. The directory is created if needed.
+// WriteManifest writes the manifest into dir atomically and durably
+// (durable.WriteFile), so a crash never leaves a partial manifest. The
+// directory is created if needed.
 func WriteManifest(dir string, m Manifest) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
 	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(dir, ManifestName+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(append(data, '\n')); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), filepath.Join(dir, ManifestName)); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	return durable.WriteFile(filepath.Join(dir, ManifestName), append(data, '\n'))
 }
 
 // ReadManifest loads dir's manifest.
@@ -312,164 +292,142 @@ type ScanResult struct {
 // an empty, clean scan. A torn tail is reported via the result, not an
 // error; corruption before the tail is always an error.
 func ScanJournal(dir string, slots int) (*ScanResult, error) {
-	f, err := os.Open(filepath.Join(dir, JournalName))
+	data, err := os.ReadFile(filepath.Join(dir, JournalName))
 	if errors.Is(err, os.ErrNotExist) {
 		return &ScanResult{}, nil
 	}
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-
 	res := &ScanResult{}
-	var hdr [8]byte
-	switch _, err := io.ReadFull(f, hdr[:]); {
-	case errors.Is(err, io.EOF):
-		// Zero-length file: a writer was created but never flushed.
+	switch {
+	case len(data) == 0:
+		// A writer was created but never flushed.
 		return res, nil
-	case errors.Is(err, io.ErrUnexpectedEOF):
+	case len(data) < len(magic):
 		res.Torn = true
 		return res, nil
-	case err != nil:
-		return nil, err
-	case hdr != magic && hdr != magic2:
-		return nil, fmt.Errorf("%w: bad journal magic %q", ErrCorrupt, hdr[:])
+	case [8]byte(data) != magic && [8]byte(data) != magic2:
+		return nil, fmt.Errorf("%w: bad journal magic %q", ErrCorrupt, data[:len(magic)])
 	}
 	res.ValidLen = int64(len(magic))
-	if hdr == magic2 {
-		return scanSegments(f, slots, res)
+	body := data[len(magic):]
+	if [8]byte(data) == magic2 {
+		return scanSegments(body, slots, res)
 	}
-
-	var rec [8]byte
-	for {
-		if _, err := io.ReadFull(f, rec[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return res, nil // clean end on a record boundary
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				res.Torn = true
-				return res, nil
-			}
-			return nil, err
-		}
-		slot := binary.LittleEndian.Uint32(rec[0:4])
-		length := binary.LittleEndian.Uint32(rec[4:8])
-		if length > maxPayload {
-			return nil, fmt.Errorf("%w: record at offset %d: payload length %d exceeds limit",
-				ErrCorrupt, res.ValidLen, length)
-		}
-		buf := make([]byte, int(length)+4)
-		if _, err := io.ReadFull(f, buf); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				res.Torn = true
-				return res, nil
-			}
-			return nil, err
-		}
-		payload := buf[:length]
-		sum := binary.LittleEndian.Uint32(buf[length:])
-		crc := crc32.NewIEEE()
-		crc.Write(rec[:])
-		crc.Write(payload)
-		if sum != crc.Sum32() {
-			return nil, fmt.Errorf("%w: record at offset %d: checksum mismatch", ErrCorrupt, res.ValidLen)
-		}
-		if int(slot) >= slots {
-			return nil, fmt.Errorf("%w: record at offset %d: slot %d outside plan of %d",
-				ErrCorrupt, res.ValidLen, slot, slots)
-		}
-		res.Records = append(res.Records, Record{Slot: int(slot), Payload: payload})
-		res.ValidLen += int64(len(rec)) + int64(len(buf))
+	recs, n, err := decodeRecords(nil, body, slots, res.ValidLen)
+	if err != nil {
+		return nil, err
 	}
+	res.Records = recs
+	res.ValidLen += int64(n)
+	res.Torn = n < len(body) // a partial final record: the crash residue
+	return res, nil
 }
 
 // scanSegments continues a scan past a framing-2 header: each segment is
 // verified whole (checksum over the stored lengths and deflate bytes, exact
-// decompressed size), then its plaintext is parsed as the familiar record
+// decompressed size), then its plaintext is decoded as the familiar record
 // stream. An incomplete final segment is the torn tail; ValidLen only ever
 // lands on a segment boundary, so a resuming writer appends whole segments.
-func scanSegments(f *os.File, slots int, res *ScanResult) (*ScanResult, error) {
-	var hdr [8]byte
-	for {
-		if _, err := io.ReadFull(f, hdr[:]); err != nil {
-			if errors.Is(err, io.EOF) {
-				return res, nil // clean end on a segment boundary
-			}
-			if errors.Is(err, io.ErrUnexpectedEOF) {
-				res.Torn = true
-				return res, nil
-			}
-			return nil, err
+func scanSegments(body []byte, slots int, res *ScanResult) (*ScanResult, error) {
+	for len(body) > 0 {
+		if len(body) < 8 {
+			res.Torn = true
+			return res, nil
 		}
-		plainLen := binary.LittleEndian.Uint32(hdr[0:4])
-		compLen := binary.LittleEndian.Uint32(hdr[4:8])
+		plainLen := binary.LittleEndian.Uint32(body[0:4])
+		compLen := binary.LittleEndian.Uint32(body[4:8])
 		if plainLen == 0 || plainLen > maxSegmentPlain || compLen == 0 || compLen > maxSegmentPlain {
 			return nil, fmt.Errorf("%w: segment at offset %d: implausible lengths %d/%d",
 				ErrCorrupt, res.ValidLen, plainLen, compLen)
 		}
-		buf := make([]byte, int(compLen)+4)
-		if _, err := io.ReadFull(f, buf); err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-				res.Torn = true
-				return res, nil
-			}
-			return nil, err
+		end := 8 + int(compLen) + 4
+		if len(body) < end {
+			res.Torn = true
+			return res, nil
 		}
-		comp := buf[:compLen]
-		sum := binary.LittleEndian.Uint32(buf[compLen:])
-		crc := crc32.NewIEEE()
-		crc.Write(hdr[:])
-		crc.Write(comp)
-		if sum != crc.Sum32() {
+		if crc32.ChecksumIEEE(body[:end-4]) != binary.LittleEndian.Uint32(body[end-4:end]) {
 			return nil, fmt.Errorf("%w: segment at offset %d: checksum mismatch", ErrCorrupt, res.ValidLen)
 		}
-		zr := flate.NewReader(bytes.NewReader(comp))
+		zr := flate.NewReader(bytes.NewReader(body[8 : end-4]))
 		plain, err := io.ReadAll(io.LimitReader(zr, int64(plainLen)+1))
 		zr.Close()
 		if err != nil || len(plain) != int(plainLen) {
 			return nil, fmt.Errorf("%w: segment at offset %d: decompressed %d bytes, want %d",
 				ErrCorrupt, res.ValidLen, len(plain), plainLen)
 		}
-		recs, err := parseRecords(plain, slots, res.ValidLen)
-		if err != nil {
-			return nil, err
+		// The segment checksum already proved the plaintext intact, so a
+		// record cut off at its end is corruption, never a torn tail.
+		recs, n, err := decodeRecords(res.Records, plain, slots, 0)
+		if err == nil && n < len(plain) {
+			err = fmt.Errorf("%w: record at offset %d runs past the segment end", ErrCorrupt, n)
 		}
-		res.Records = append(res.Records, recs...)
-		res.ValidLen += int64(len(hdr)) + int64(len(buf))
+		if err != nil {
+			return nil, fmt.Errorf("segment at offset %d: %w", res.ValidLen, err)
+		}
+		res.Records = recs
+		res.ValidLen += int64(end)
+		body = body[end:]
 	}
+	return res, nil
 }
 
-// parseRecords decodes a run of framing-1 records from a verified segment's
-// plaintext. The segment checksum already proved the bytes intact, so any
-// framing damage here is corruption, never a torn tail.
-func parseRecords(data []byte, slots int, segOff int64) ([]Record, error) {
-	var recs []Record
-	for len(data) > 0 {
-		if len(data) < 8 {
-			return nil, fmt.Errorf("%w: segment at offset %d: truncated record header", ErrCorrupt, segOff)
+// decodeRecords appends to recs the framing-1 records at the front of data,
+// verifying each record's checksum and slot bound, and returns them with the
+// length of the whole records decoded. Whatever follows that length is an
+// incomplete record; the caller decides whether that is a torn tail or
+// corruption. base is data's offset in the file, for error messages.
+// Payloads alias data.
+func decodeRecords(recs []Record, data []byte, slots int, base int64) ([]Record, int, error) {
+	off := 0
+	for len(data)-off >= 8 {
+		slot := binary.LittleEndian.Uint32(data[off : off+4])
+		length := binary.LittleEndian.Uint32(data[off+4 : off+8])
+		if length > maxPayload {
+			return nil, 0, fmt.Errorf("%w: record at offset %d: payload length %d exceeds limit",
+				ErrCorrupt, base+int64(off), length)
 		}
-		slot := binary.LittleEndian.Uint32(data[0:4])
-		length := binary.LittleEndian.Uint32(data[4:8])
-		if length > maxPayload || len(data) < 8+int(length)+4 {
-			return nil, fmt.Errorf("%w: segment at offset %d: impossible record length %d",
-				ErrCorrupt, segOff, length)
+		end := off + 8 + int(length) + 4
+		if len(data) < end {
+			break
 		}
-		payload := data[8 : 8+length]
-		sum := binary.LittleEndian.Uint32(data[8+length:])
-		crc := crc32.NewIEEE()
-		crc.Write(data[:8])
-		crc.Write(payload)
-		if sum != crc.Sum32() {
-			return nil, fmt.Errorf("%w: segment at offset %d: record checksum mismatch", ErrCorrupt, segOff)
+		if crc32.ChecksumIEEE(data[off:end-4]) != binary.LittleEndian.Uint32(data[end-4:end]) {
+			return nil, 0, fmt.Errorf("%w: record at offset %d: checksum mismatch", ErrCorrupt, base+int64(off))
 		}
 		if int(slot) >= slots {
-			return nil, fmt.Errorf("%w: segment at offset %d: slot %d outside plan of %d",
-				ErrCorrupt, segOff, slot, slots)
+			return nil, 0, fmt.Errorf("%w: record at offset %d: slot %d outside plan of %d",
+				ErrCorrupt, base+int64(off), slot, slots)
 		}
-		recs = append(recs, Record{Slot: int(slot), Payload: payload})
-		data = data[8+length+4:]
+		recs = append(recs, Record{Slot: int(slot), Payload: data[off+8 : end-4 : end-4]})
+		off = end
 	}
-	return recs, nil
+	return recs, off, nil
+}
+
+// FillSlots files recs into payloads, indexed by slot, on behalf of m's
+// shard. Every record must belong to the shard. A slot recorded more than
+// once keeps its first copy as long as every copy carries identical bytes —
+// the benign residue of a run interrupted after journalling but re-run from
+// an older scan; differing copies are corruption. It returns the number of
+// slots it filled.
+func (m Manifest) FillSlots(payloads [][]byte, recs []Record) (int, error) {
+	filled := 0
+	for _, rec := range recs {
+		if !m.Owns(rec.Slot) {
+			return filled, fmt.Errorf("%w: slot %d belongs to shard %d, not %d",
+				ErrCorrupt, rec.Slot, rec.Slot%m.ShardCount, m.ShardIndex)
+		}
+		if prev := payloads[rec.Slot]; prev != nil {
+			if !bytes.Equal(prev, rec.Payload) {
+				return filled, fmt.Errorf("%w: slot %d recorded twice with differing payloads", ErrCorrupt, rec.Slot)
+			}
+			continue
+		}
+		payloads[rec.Slot] = rec.Payload
+		filled++
+	}
+	return filled, nil
 }
 
 // Writer appends checksummed records to a journal in fsync'd batches. It is
@@ -500,13 +458,7 @@ type Options struct {
 
 // OpenWriter opens dir's journal for appending at validLen (from a prior
 // ScanJournal; 0 for a fresh journal), truncating any torn tail beyond it.
-// batch is the number of records per fsync (minimum 1).
-func OpenWriter(dir string, validLen int64, batch int) (*Writer, error) {
-	return OpenWriterWith(dir, validLen, Options{Batch: batch})
-}
-
-// OpenWriterWith is OpenWriter with the full option set.
-func OpenWriterWith(dir string, validLen int64, opts Options) (*Writer, error) {
+func OpenWriter(dir string, validLen int64, opts Options) (*Writer, error) {
 	batch := opts.Batch
 	if batch < 1 {
 		batch = 1
@@ -736,10 +688,8 @@ func MergeScan(dirs []string) (Manifest, [][]byte, error) {
 	}
 
 	payloads := make([][]byte, base.Slots)
-	covered := 0
 	for i, dir := range dirs {
-		m := manifests[i]
-		scan, err := ScanJournal(dir, m.Slots)
+		scan, err := ScanJournal(dir, base.Slots)
 		if err != nil {
 			return Manifest{}, nil, fmt.Errorf("%s: %w", dir, err)
 		}
@@ -747,23 +697,13 @@ func MergeScan(dirs []string) (Manifest, [][]byte, error) {
 			return Manifest{}, nil, fmt.Errorf("%s: %w (resume the shard to repair it before merging)",
 				dir, ErrTornTail)
 		}
-		for _, rec := range scan.Records {
-			if !m.Owns(rec.Slot) {
-				return Manifest{}, nil, fmt.Errorf("%s: %w: slot %d belongs to shard %d, not %d",
-					dir, ErrCorrupt, rec.Slot, rec.Slot%m.ShardCount, m.ShardIndex)
-			}
-			if prev := payloads[rec.Slot]; prev != nil {
-				if !bytes.Equal(prev, rec.Payload) {
-					return Manifest{}, nil, fmt.Errorf("%s: %w: slot %d recorded twice with differing payloads",
-						dir, ErrCorrupt, rec.Slot)
-				}
-				continue // duplicate of an identical record: first wins
-			}
-			payloads[rec.Slot] = rec.Payload
-			if rec.Slot >= covered {
-				covered = rec.Slot + 1
-			}
+		if _, err := manifests[i].FillSlots(payloads, scan.Records); err != nil {
+			return Manifest{}, nil, fmt.Errorf("%s: %w", dir, err)
 		}
+	}
+	covered := len(payloads)
+	for covered > 0 && payloads[covered-1] == nil {
+		covered--
 	}
 	// The covered slots must form a gap-free prefix: a hole means a shard
 	// is incomplete (e.g. an interrupted run that was never resumed).
@@ -791,7 +731,7 @@ func WriteMerged(dir string, m Manifest, payloads [][]byte) error {
 	if err := WriteManifest(dir, m); err != nil {
 		return err
 	}
-	w, err := OpenWriter(dir, 0, 256)
+	w, err := OpenWriter(dir, 0, Options{Batch: 256})
 	if err != nil {
 		return err
 	}
@@ -804,14 +744,52 @@ func WriteMerged(dir string, m Manifest, payloads [][]byte) error {
 	return w.Close()
 }
 
-// syncDir fsyncs a directory so a rename within it is durable. Some
-// platforms cannot fsync directories; those errors are ignored.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
+// MergeRoots merges every campaign journalled under the shard roots — each
+// the campaign root of one shard, in any order — into one merged directory
+// per campaign under out (MergeScan, then WriteMerged), and returns the
+// campaign IDs in sorted order. Every campaign found under any root must also
+// exist under roots[0]; that is checked before anything is written. Each
+// campaign's shards must together cover a gap-free prefix of its slots, and
+// any journal damage aborts the merge: a damaged shard is resumed, never
+// patched over.
+func MergeRoots(out string, roots []string) ([]string, error) {
+	if len(roots) == 0 {
+		return nil, fmt.Errorf("%w: no shard roots to merge", ErrNoCampaign)
 	}
-	defer d.Close()
-	_ = d.Sync()
-	return nil
+	ids, err := ListCampaigns(roots[0])
+	if err != nil {
+		return nil, err
+	}
+	if len(ids) == 0 {
+		return nil, fmt.Errorf("%w: no campaign directories under %s", ErrNoCampaign, roots[0])
+	}
+	known := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		known[id] = true
+	}
+	for _, root := range roots[1:] {
+		other, err := ListCampaigns(root)
+		if err != nil {
+			return nil, err
+		}
+		for _, id := range other {
+			if !known[id] {
+				return nil, fmt.Errorf("campaign %s exists under %s but not under %s", id, root, roots[0])
+			}
+		}
+	}
+	for _, id := range ids {
+		dirs := make([]string, len(roots))
+		for i, root := range roots {
+			dirs[i] = filepath.Join(root, id)
+		}
+		man, payloads, err := MergeScan(dirs)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", id, err)
+		}
+		if err := WriteMerged(filepath.Join(out, id), man, payloads); err != nil {
+			return nil, fmt.Errorf("%s: %w", id, err)
+		}
+	}
+	return ids, nil
 }

@@ -30,7 +30,7 @@ func writeJournal(t *testing.T, dir string, m Manifest, slots []int, batch int) 
 	if err := WriteManifest(dir, m); err != nil {
 		t.Fatal(err)
 	}
-	w, err := OpenWriter(dir, 0, batch)
+	w, err := OpenWriter(dir, 0, Options{Batch: batch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 
 	// Append more after a rescan, as a resume does.
-	w, err := OpenWriter(dir, scan.ValidLen, 64)
+	w, err := OpenWriter(dir, scan.ValidLen, Options{Batch: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestJournalTornTailDetectedAndRepaired(t *testing.T) {
 
 	// A writer opened at the valid length truncates the tail; the next
 	// scan is clean and the re-appended record is intact.
-	w, err := OpenWriter(dir, scan.ValidLen, 1)
+	w, err := OpenWriter(dir, scan.ValidLen, Options{Batch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +357,7 @@ func TestWriterUnflushedBatchNotVisible(t *testing.T) {
 	if err := WriteManifest(dir, m); err != nil {
 		t.Fatal(err)
 	}
-	w, err := OpenWriter(dir, 0, 100) // batch far larger than appends
+	w, err := OpenWriter(dir, 0, Options{Batch: 100}) // batch far larger than appends
 	if err != nil {
 		t.Fatal(err)
 	}

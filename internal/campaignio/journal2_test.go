@@ -14,7 +14,7 @@ func writeJournal2(t *testing.T, dir string, m Manifest, slots []int, batch int)
 	if err := WriteManifest(dir, m); err != nil {
 		t.Fatal(err)
 	}
-	w, err := OpenWriterWith(dir, 0, Options{Batch: batch, Compress: true})
+	w, err := OpenWriter(dir, 0, Options{Batch: batch, Compress: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestCompressedJournalTornTailDetectedAndRepaired(t *testing.T) {
 	}
 
 	// Resume: truncate the tear, append the lost records again.
-	w, err := OpenWriterWith(dir, scan.ValidLen, Options{Batch: 2, Compress: true})
+	w, err := OpenWriter(dir, scan.ValidLen, Options{Batch: 2, Compress: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestResumeKeepsExistingFraming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := OpenWriterWith(dir1, scan.ValidLen, Options{Batch: 1, Compress: true})
+	w, err := OpenWriter(dir1, scan.ValidLen, Options{Batch: 1, Compress: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestResumeKeepsExistingFraming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w2, err := OpenWriter(dir2, scan2.ValidLen, 1)
+	w2, err := OpenWriter(dir2, scan2.ValidLen, Options{Batch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func TestMergeScanDuplicateDifferingSlotIsCorrupt(t *testing.T) {
 	if err := WriteManifest(d0, m0); err != nil {
 		t.Fatal(err)
 	}
-	w, err := OpenWriter(d0, 0, 1)
+	w, err := OpenWriter(d0, 0, Options{Batch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,7 +315,7 @@ func TestWriterBatchClampAndEmptyPayload(t *testing.T) {
 		if err := WriteManifest(dir, m); err != nil {
 			t.Fatal(err)
 		}
-		w, err := OpenWriterWith(dir, 0, Options{Batch: -3, Compress: compress})
+		w, err := OpenWriter(dir, 0, Options{Batch: -3, Compress: compress})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,8 +8,7 @@
 // buffers. Frames occupy disjoint byte ranges and never reference each
 // other, so N workers can compress (on write) or decompress (on read) the
 // frames in parallel while the on-disk bytes — and the restored buffers —
-// are bit-identical regardless of worker count or whether IO is streamed
-// through a file or staged in memory.
+// are bit-identical regardless of worker count.
 //
 // On-disk layout (all integers little-endian):
 //
@@ -39,8 +38,10 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"sync"
+	"sync/atomic"
+
+	"repro/internal/durable"
 )
 
 // Style selects a frame's on-disk encoding.
@@ -78,6 +79,7 @@ const (
 	frameDirSize = 1 + 4 + 4 + 4 + 4 // per-frame directory entry
 	maxFrames    = 1 << 20
 	maxFrameLen  = 1 << 31
+	maxPrealloc  = 1 << 20 // largest inflate buffer sized from a declared length
 )
 
 // Stats reports what an Encode/WriteFile produced, for observability
@@ -160,40 +162,44 @@ type encodedFrame struct {
 // the results are assembled by index, so the output is identical for any
 // worker count.
 func (w *Writer) encodeFrames(workers int) ([]encodedFrame, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(w.frames) {
-		workers = len(w.frames)
-	}
 	out := make([]encodedFrame, len(w.frames))
-	errs := make([]error, len(w.frames))
-	var next int
-	var mu sync.Mutex
+	err := fanOut(len(w.frames), workers, func(i int) (err error) {
+		out[i], err = encodeFrame(w.frames[i])
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// fanOut runs fn(i) for every i in [0, n) on at most workers goroutines
+// (minimum 1) and returns the error of the lowest failing index, so the
+// outcome does not depend on scheduling.
+func fanOut(n, workers int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
 	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
+	for g := 0; g < max(1, min(workers, n)); g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(w.frames) {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
-				out[i], errs[i] = encodeFrame(w.frames[i])
+				errs[i] = fn(i)
 			}
 		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // encodeFrame produces one frame's stored bytes.
@@ -292,56 +298,14 @@ func (w *Writer) Encode(workers int) ([]byte, error) {
 	return out, nil
 }
 
-// WriteFile streams the image to path: frames are compressed in parallel,
-// written in index order to a temp file in the destination directory, fsynced
-// and atomically renamed into place (a crash never leaves a partial image
-// under the final name). The bytes are identical to Encode's.
+// WriteFile publishes Encode's bytes at path with durable.WriteFile, so a
+// crash never leaves a partial image under the final name.
 func (w *Writer) WriteFile(path string, workers int) error {
-	frames, err := w.encodeFrames(workers)
+	data, err := w.Encode(workers)
 	if err != nil {
 		return err
 	}
-	w.tally(frames)
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(layout(frames)); err != nil {
-		tmp.Close()
-		return err
-	}
-	for _, ef := range frames {
-		if _, err := tmp.Write(ef.stored); err != nil {
-			tmp.Close()
-			return err
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	syncDir(dir)
-	return nil
-}
-
-// syncDir fsyncs a directory so a completed rename is durable. Best-effort:
-// some filesystems refuse directory fsync.
-func syncDir(dir string) {
-	if d, err := os.Open(dir); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
+	return durable.WriteFile(path, data)
 }
 
 // frameInfo is one parsed directory entry plus its absolute file offset.
@@ -356,24 +320,10 @@ type frameInfo struct {
 
 // File is a parsed checkpoint image open for reading. Frames decode
 // independently — ReadFrame is safe to call concurrently from any number of
-// goroutines, in either IO mode.
+// goroutines.
 type File struct {
 	frames []frameInfo
-	data   []byte   // memory mode
-	f      *os.File // file mode
-}
-
-// Decode parses an in-memory image.
-func Decode(data []byte) (*File, error) {
-	frames, end, err := parseHeader(data)
-	if err != nil {
-		return nil, err
-	}
-	c := &File{frames: frames, data: data}
-	if err := c.placeFrames(end, int64(len(data))); err != nil {
-		return nil, err
-	}
-	return c, nil
+	f      *os.File
 }
 
 // Open opens an image file for streaming reads: only the header is read up
@@ -383,50 +333,16 @@ func Open(path string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	head := make([]byte, headerFixed)
-	if _, err := io.ReadFull(f, head); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%w: reading header", ErrTruncated)
-	}
-	hlen := binary.LittleEndian.Uint32(head[8:12])
-	if [8]byte(head[0:8]) != magic {
-		f.Close()
-		return nil, ErrBadMagic
-	}
-	if hlen > maxFrames*frameDirSize+4 {
-		f.Close()
-		return nil, fmt.Errorf("%w: header length %d", ErrCorrupt, hlen)
-	}
-	rest := make([]byte, hlen+4)
-	if _, err := io.ReadFull(f, rest); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%w: reading header payload", ErrTruncated)
-	}
-	frames, end, err := parseHeader(append(head, rest...))
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	c := &File{frames: frames, f: f}
-	if err := c.placeFrames(end, st.Size()); err != nil {
+	c := &File{f: f}
+	if err := c.readHeader(); err != nil {
 		f.Close()
 		return nil, err
 	}
 	return c, nil
 }
 
-// Close releases the underlying file (no-op in memory mode).
-func (c *File) Close() error {
-	if c.f != nil {
-		return c.f.Close()
-	}
-	return nil
-}
+// Close releases the underlying file.
+func (c *File) Close() error { return c.f.Close() }
 
 // Frames returns the number of frames in the image.
 func (c *File) Frames() int { return len(c.frames) }
@@ -443,67 +359,72 @@ func (c *File) FramePlainLen(i int) int { return int(c.frames[i].plainLen) }
 // FrameBuffers returns the number of buffers frame i decodes into.
 func (c *File) FrameBuffers(i int) int { return int(c.frames[i].bufCount) }
 
-// parseHeader validates the magic, bounds and CRC of the header and returns
-// the frame directory plus the offset where frame bytes begin.
-func parseHeader(data []byte) ([]frameInfo, int64, error) {
-	if len(data) < headerFixed {
-		return nil, 0, fmt.Errorf("%w: %d bytes", ErrTruncated, len(data))
+// readHeader validates the magic, bounds and CRC of the header, parses the
+// frame directory, and checks that the frames exactly fill the file.
+func (c *File) readHeader() error {
+	st, err := c.f.Stat()
+	if err != nil {
+		return err
 	}
-	if [8]byte(data[0:8]) != magic {
-		return nil, 0, ErrBadMagic
+	head := make([]byte, headerFixed)
+	if _, err := io.ReadFull(c.f, head); err != nil {
+		return fmt.Errorf("%w: reading header", ErrTruncated)
 	}
-	hlen := int(binary.LittleEndian.Uint32(data[8:12]))
+	if [8]byte(head) != magic {
+		return ErrBadMagic
+	}
+	hlen := int64(binary.LittleEndian.Uint32(head[8:12]))
 	if hlen < 4 || hlen > maxFrames*frameDirSize+4 {
-		return nil, 0, fmt.Errorf("%w: header length %d", ErrCorrupt, hlen)
+		return fmt.Errorf("%w: header length %d", ErrCorrupt, hlen)
 	}
-	if len(data) < headerFixed+hlen+4 {
-		return nil, 0, fmt.Errorf("%w: header runs past end of file", ErrTruncated)
+	end := headerFixed + hlen + 4
+	if end > st.Size() {
+		return fmt.Errorf("%w: header runs past end of file", ErrTruncated)
 	}
-	payload := data[headerFixed : headerFixed+hlen]
-	wantCRC := binary.LittleEndian.Uint32(data[headerFixed+hlen:])
-	if crc32.ChecksumIEEE(payload) != wantCRC {
-		return nil, 0, fmt.Errorf("%w: header CRC mismatch", ErrCorrupt)
+	rest := make([]byte, hlen+4)
+	if _, err := io.ReadFull(c.f, rest); err != nil {
+		return fmt.Errorf("%w: reading header payload", ErrTruncated)
 	}
-	n := int(binary.LittleEndian.Uint32(payload[0:4]))
-	if n < 0 || n > maxFrames || 4+n*frameDirSize != hlen {
-		return nil, 0, fmt.Errorf("%w: frame count %d does not match header length", ErrCorrupt, n)
+	payload := rest[:hlen]
+	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(rest[hlen:]) {
+		return fmt.Errorf("%w: header CRC mismatch", ErrCorrupt)
 	}
-	frames := make([]frameInfo, n)
-	off := 4
-	for i := range frames {
-		fi := &frames[i]
+	n := int64(binary.LittleEndian.Uint32(payload[0:4]))
+	if n > maxFrames || 4+n*frameDirSize != hlen {
+		return fmt.Errorf("%w: frame count %d does not match header length", ErrCorrupt, n)
+	}
+	c.frames = make([]frameInfo, n)
+	off, pos := 4, end
+	for i := range c.frames {
+		fi := &c.frames[i]
 		fi.style = Style(payload[off])
 		fi.storedLen = binary.LittleEndian.Uint32(payload[off+1:])
 		fi.plainLen = binary.LittleEndian.Uint32(payload[off+5:])
 		fi.bufCount = binary.LittleEndian.Uint32(payload[off+9:])
 		fi.crc = binary.LittleEndian.Uint32(payload[off+13:])
 		if fi.style != StyleRaw && fi.style != StyleFlate {
-			return nil, 0, fmt.Errorf("%w: frame %d has unknown style %d", ErrCorrupt, i, fi.style)
+			return fmt.Errorf("%w: frame %d has unknown style %d", ErrCorrupt, i, fi.style)
 		}
 		if fi.storedLen > maxFrameLen || fi.plainLen > maxFrameLen {
-			return nil, 0, fmt.Errorf("%w: frame %d length out of range", ErrCorrupt, i)
+			return fmt.Errorf("%w: frame %d length out of range", ErrCorrupt, i)
 		}
 		if fi.style == StyleRaw && fi.storedLen != fi.plainLen {
-			return nil, 0, fmt.Errorf("%w: raw frame %d stored %d != plain %d", ErrCorrupt, i, fi.storedLen, fi.plainLen)
+			return fmt.Errorf("%w: raw frame %d stored %d != plain %d", ErrCorrupt, i, fi.storedLen, fi.plainLen)
 		}
+		// Every buffer costs at least its length and CRC words, so a count
+		// the payload cannot hold is damage, not a reason to allocate.
+		if uint64(fi.bufCount)*8 > uint64(fi.plainLen) {
+			return fmt.Errorf("%w: frame %d claims %d buffers in %d bytes", ErrCorrupt, i, fi.bufCount, fi.plainLen)
+		}
+		fi.off = pos
+		pos += int64(fi.storedLen)
 		off += frameDirSize
 	}
-	return frames, int64(headerFixed + hlen + 4), nil
-}
-
-// placeFrames assigns absolute offsets and checks the frames exactly fill
-// the file.
-func (c *File) placeFrames(start, size int64) error {
-	off := start
-	for i := range c.frames {
-		c.frames[i].off = off
-		off += int64(c.frames[i].storedLen)
-	}
-	if off > size {
+	if pos > st.Size() {
 		return fmt.Errorf("%w: frames run past end of file", ErrTruncated)
 	}
-	if off < size {
-		return fmt.Errorf("%w: %d trailing bytes after last frame", ErrCorrupt, size-off)
+	if pos < st.Size() {
+		return fmt.Errorf("%w: %d trailing bytes after last frame", ErrCorrupt, st.Size()-pos)
 	}
 	return nil
 }
@@ -515,21 +436,18 @@ func (c *File) ReadFrame(i int) ([][]byte, error) {
 		return nil, fmt.Errorf("ckptio: frame index %d out of range [0,%d)", i, len(c.frames))
 	}
 	fi := &c.frames[i]
-	var stored []byte
-	if c.data != nil {
-		stored = c.data[fi.off : fi.off+int64(fi.storedLen)]
-	} else {
-		stored = make([]byte, fi.storedLen)
-		if _, err := c.f.ReadAt(stored, fi.off); err != nil {
-			return nil, fmt.Errorf("%w: frame %d: %v", ErrTruncated, i, err)
-		}
+	stored := make([]byte, fi.storedLen)
+	if _, err := c.f.ReadAt(stored, fi.off); err != nil {
+		return nil, fmt.Errorf("%w: frame %d: %v", ErrTruncated, i, err)
 	}
 	if crc32.ChecksumIEEE(stored) != fi.crc {
 		return nil, fmt.Errorf("%w: frame %d stored-CRC mismatch", ErrCorrupt, i)
 	}
 	plain := stored
 	if fi.style == StyleFlate {
-		plain = make([]byte, 0, fi.plainLen)
+		// The declared size is only trusted up to maxPrealloc; a frame
+		// that really is larger grows by append.
+		plain = make([]byte, 0, min(fi.plainLen, maxPrealloc))
 		zr := flate.NewReader(&byteReader{b: stored})
 		buf := make([]byte, 64<<10)
 		for {
@@ -577,40 +495,15 @@ func (c *File) ReadFrame(i int) ([][]byte, error) {
 
 // ReadAll decodes every frame, fanning the per-frame work across workers
 // goroutines, and returns the buffers by frame index. The result is
-// identical for any worker count and either IO mode.
+// identical for any worker count.
 func (c *File) ReadAll(workers int) ([][][]byte, error) {
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(c.frames) {
-		workers = len(c.frames)
-	}
 	out := make([][][]byte, len(c.frames))
-	errs := make([]error, len(c.frames))
-	var next int
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for g := 0; g < workers; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := next
-				next++
-				mu.Unlock()
-				if i >= len(c.frames) {
-					return
-				}
-				out[i], errs[i] = c.ReadFrame(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := fanOut(len(c.frames), workers, func(i int) (err error) {
+		out[i], err = c.ReadFrame(i)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }

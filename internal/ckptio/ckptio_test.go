@@ -4,16 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 )
 
 // buildImage assembles a representative mixed image: an empty frame, a raw
 // frame with a zero-length buffer, a compressible flate frame, and a
 // high-entropy flate frame (compression that does not pay still round-trips).
-func buildImage(t *testing.T) *Writer {
+func buildImage(t testing.TB) *Writer {
 	t.Helper()
 	w := NewWriter()
 	w.Frame(StyleRaw) // zero-buffer frame
@@ -99,9 +101,19 @@ func TestEncodeIdenticalAcrossWorkersAndModes(t *testing.T) {
 	}
 }
 
+// openBytes writes data to a temp file and opens it with Open.
+func openBytes(t *testing.T, data []byte) (*File, error) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "img.ckpt")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return Open(path)
+}
+
 // TestDecodeIdenticalAcrossWorkersAndModes is the read half: streaming
-// (Open) and memory (Decode) modes at several worker counts all restore the
-// exact buffers that were written.
+// reads (Open) at several worker counts all restore the exact buffers that
+// were written.
 func TestDecodeIdenticalAcrossWorkersAndModes(t *testing.T) {
 	w := buildImage(t)
 	want := wantBuffers(t, w)
@@ -109,27 +121,12 @@ func TestDecodeIdenticalAcrossWorkersAndModes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "img.ckpt")
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
 	for _, workers := range []int{1, 2, 8} {
-		mem, err := Decode(data)
+		fil, err := openBytes(t, data)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := mem.ReadAll(workers)
-		if err != nil {
-			t.Fatalf("memory ReadAll(%d): %v", workers, err)
-		}
-		if !sameBuffers(want, got) {
-			t.Fatalf("memory-mode decode (workers=%d) differs from written buffers", workers)
-		}
-		fil, err := Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err = fil.ReadAll(workers)
+		got, err := fil.ReadAll(workers)
 		fil.Close()
 		if err != nil {
 			t.Fatalf("file ReadAll(%d): %v", workers, err)
@@ -170,10 +167,11 @@ func TestEmptyImageRoundTrips(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Decode(data)
+	c, err := openBytes(t, data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	if c.Frames() != 0 {
 		t.Fatalf("Frames() = %d, want 0", c.Frames())
 	}
@@ -182,31 +180,18 @@ func TestEmptyImageRoundTrips(t *testing.T) {
 	}
 }
 
-// decodeAllBytes fully decodes data in both IO modes, returning the first
-// error. Fault-injection tests use it so a flipped byte is guaranteed to be
-// seen regardless of mode.
+// decodeAllBytes fully decodes data through Open and ReadAll, returning the
+// first error, so a flipped byte anywhere in the image is guaranteed to be
+// seen.
 func decodeAllBytes(t *testing.T, data []byte) error {
 	t.Helper()
-	mem, err := Decode(data)
-	if err == nil {
-		_, err = mem.ReadAll(1)
-	}
-	path := filepath.Join(t.TempDir(), "flip.ckpt")
-	if werr := os.WriteFile(path, data, 0o644); werr != nil {
-		t.Fatal(werr)
-	}
-	fil, ferr := Open(path)
-	if ferr == nil {
-		_, ferr = fil.ReadAll(2)
-		fil.Close()
-	}
-	if (err == nil) != (ferr == nil) {
-		t.Fatalf("IO modes disagree on corruption: memory=%v file=%v", err, ferr)
-	}
+	fil, err := openBytes(t, data)
 	if err != nil {
 		return err
 	}
-	return ferr
+	defer fil.Close()
+	_, err = fil.ReadAll(2)
+	return err
 }
 
 // TestFaultInjection flips single bytes in every structural region of the
@@ -296,10 +281,11 @@ func TestReadFrameIndependence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := Decode(data)
+	c, err := openBytes(t, data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	// Read frames out of order; each must stand alone.
 	for _, i := range []int{3, 1, 0, 2, 1} {
 		got, err := c.ReadFrame(i)
@@ -312,5 +298,40 @@ func TestReadFrameIndependence(t *testing.T) {
 	}
 	if _, err := c.ReadFrame(4); err == nil {
 		t.Fatal("out-of-range frame index must error")
+	}
+}
+
+// TestDirectoryClaimsBoundAllocation rewrites frame-directory entries with a
+// valid header CRC, so only the claims themselves can give them away: a
+// buffer count the frame's payload cannot hold must fail at Open, and a
+// flate frame claiming a 2 GiB payload must fail in ReadAll without the
+// reader allocating what it claims.
+func TestDirectoryClaimsBoundAllocation(t *testing.T) {
+	data, err := buildImage(t).Encode(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hlen := int(binary.LittleEndian.Uint32(data[8:12]))
+	entry := func(i int) []byte { return data[headerFixed+4+i*frameDirSize:] }
+	patch := func(frame, field int, v uint32) []byte {
+		mut := append([]byte{}, data...)
+		binary.LittleEndian.PutUint32(mut[headerFixed+4+frame*frameDirSize+field:], v)
+		binary.LittleEndian.PutUint32(mut[headerFixed+hlen:], crc32.ChecksumIEEE(mut[headerFixed:headerFixed+hlen]))
+		return mut
+	}
+	if Style(entry(2)[0]) != StyleFlate {
+		t.Fatal("frame 2 of buildImage is expected to be a flate frame")
+	}
+	if _, err := openBytes(t, patch(1, 9, 0xFFFFFFFF)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("impossible buffer count: Open = %v, want ErrCorrupt", err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if err := decodeAllBytes(t, patch(2, 5, 1<<31)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("oversized plain length: got %v, want ErrCorrupt", err)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<20 {
+		t.Fatalf("decoding a frame that claims 2 GiB allocated %d bytes", grew)
 	}
 }

@@ -121,7 +121,7 @@ func TestResumeRecoversDuplicateIdenticalSlots(t *testing.T) {
 		t.Fatal(err)
 	}
 	dup := scan.Records[3]
-	w, err := campaignio.OpenWriter(dir, scan.ValidLen, 1)
+	w, err := campaignio.OpenWriter(dir, scan.ValidLen, campaignio.Options{Batch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestResumeRecoversDuplicateIdenticalSlots(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err = campaignio.OpenWriter(dir, scan.ValidLen, 1)
+	w, err = campaignio.OpenWriter(dir, scan.ValidLen, campaignio.Options{Batch: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,6 @@
 package inject
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -218,26 +217,11 @@ func openCampaignJournal(dir string, want campaignio.Manifest, compress bool) (*
 		return nil, nil, err
 	}
 	loaded := make([][]byte, want.Slots)
-	distinct := 0
-	for _, rec := range scan.Records {
-		if !want.Owns(rec.Slot) {
-			return nil, nil, fmt.Errorf("inject: %s: %w: slot %d belongs to another shard",
-				dir, campaignio.ErrCorrupt, rec.Slot)
-		}
-		if prev := loaded[rec.Slot]; prev != nil {
-			// A slot journalled twice with identical bytes is the benign
-			// residue of an interrupted run whose batch re-ran after an
-			// older scan; only differing payloads are corruption.
-			if !bytes.Equal(prev, rec.Payload) {
-				return nil, nil, fmt.Errorf("inject: %s: %w: slot %d recorded twice with differing payloads",
-					dir, campaignio.ErrCorrupt, rec.Slot)
-			}
-			continue
-		}
-		loaded[rec.Slot] = rec.Payload
-		distinct++
+	distinct, err := want.FillSlots(loaded, scan.Records)
+	if err != nil {
+		return nil, nil, fmt.Errorf("inject: %s: %w", dir, err)
 	}
-	w, err := campaignio.OpenWriterWith(dir, scan.ValidLen, campaignio.Options{
+	w, err := campaignio.OpenWriter(dir, scan.ValidLen, campaignio.Options{
 		Batch:    journalBatch,
 		Compress: compress,
 	})

@@ -3,7 +3,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -435,32 +434,11 @@ func (s *Service) mergeJob(id string) ([]string, error) {
 	s.mu.Lock()
 	shards := s.jobs[id].Spec.Shards
 	s.mu.Unlock()
-	dirs := make([]string, shards)
-	for k := range dirs {
-		dirs[k] = s.st.shardRoot(id, k)
+	roots := make([]string, shards)
+	for k := range roots {
+		roots[k] = s.st.shardRoot(id, k)
 	}
-	ids, err := campaignio.ListCampaigns(dirs[0])
-	if err != nil {
-		return nil, err
-	}
-	if len(ids) == 0 {
-		return nil, fmt.Errorf("%w: job %s journalled no campaigns under %s",
-			campaignio.ErrNoCampaign, id, dirs[0])
-	}
-	for _, cid := range ids {
-		shardDirs := make([]string, len(dirs))
-		for k, d := range dirs {
-			shardDirs[k] = filepath.Join(d, cid)
-		}
-		man, payloads, err := campaignio.MergeScan(shardDirs)
-		if err != nil {
-			return nil, fmt.Errorf("merging %s: %w", cid, err)
-		}
-		if err := campaignio.WriteMerged(filepath.Join(s.st.mergedDir(id), cid), man, payloads); err != nil {
-			return nil, fmt.Errorf("writing merged %s: %w", cid, err)
-		}
-	}
-	return ids, nil
+	return campaignio.MergeRoots(s.st.mergedDir(id), roots)
 }
 
 // publishMetrics exports the queue shape to the obs registry.

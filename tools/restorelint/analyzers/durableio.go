@@ -8,8 +8,8 @@ import (
 	"repro/tools/restorelint/lint"
 )
 
-// DurableIO gates the campaign-persistence package's crash-consistency
-// contract.
+// DurableIO gates the crash-consistency contract of the persistence
+// packages: internal/durable (the one atomic publish) and its users.
 //
 // campaignio promises that a crash at any instruction leaves a campaign
 // directory that either resumes cleanly or fails loudly. That promise is
@@ -186,10 +186,12 @@ func fileVarOfNameCall(info *types.Info, e ast.Expr) *types.Var {
 }
 
 // checkReadCRC enforces rule C: a function that reads raw bytes from a file
-// or reader AND constructs journal Record values must verify a checksum.
+// or reader, or decodes them from a []byte parameter, AND constructs journal
+// Record values must verify a checksum.
 func checkReadCRC(pass *lint.Pass, s *lint.FuncSummary) {
 	info := s.Pkg.Info
-	var readsBytes, checksCRC bool
+	readsBytes := hasByteSliceParam(s.Fn)
+	var checksCRC bool
 	var firstRecord token.Pos
 
 	ast.Inspect(s.Decl, func(n ast.Node) bool {
@@ -225,6 +227,19 @@ func checkReadCRC(pass *lint.Pass, s *lint.FuncSummary) {
 			"%s constructs Record values from file bytes without a CRC check; verify the checksum before trusting a record",
 			s.Fn.Name())
 	}
+}
+
+// hasByteSliceParam reports whether fn takes a []byte parameter.
+func hasByteSliceParam(fn *types.Func) bool {
+	params := fn.Type().(*types.Signature).Params()
+	for i := 0; i < params.Len(); i++ {
+		if sl, ok := params.At(i).Type().(*types.Slice); ok {
+			if b, ok := sl.Elem().(*types.Basic); ok && b.Kind() == types.Byte {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // isOSFile matches *os.File and os.File.

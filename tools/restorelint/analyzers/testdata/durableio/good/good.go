@@ -149,3 +149,17 @@ func scanSegments(f *os.File) ([]Record, error) {
 		out = append(out, Record{Slot: int(hdr[0]), Payload: body})
 	}
 }
+
+// decodeRecords mirrors the journal decoder over bytes already read: every
+// record's checksum is verified before the record is trusted.
+func decodeRecords(data []byte) ([]Record, error) {
+	var out []Record
+	for len(data) >= 12 {
+		if crc32.ChecksumIEEE(data[:8]) != uint32(data[8]) {
+			return nil, os.ErrInvalid
+		}
+		out = append(out, Record{Slot: int(data[0]), Payload: data[4:8]})
+		data = data[12:]
+	}
+	return out, nil
+}

@@ -64,7 +64,7 @@ var scopes = map[*lint.Analyzer][]string{
 		"internal/inject", "internal/campaignio", "internal/experiments",
 		"internal/obs", "internal/restore",
 	},
-	analyzers.DurableIO: {"internal/campaignio"},
+	analyzers.DurableIO: {"internal/campaignio", "internal/durable", "internal/ckptio", "internal/service"},
 }
 
 // order fixes the reporting order of analyzers within a package.
